@@ -5,11 +5,12 @@
 //! repeatable — the same seed takes the same code paths and grows the
 //! same maps. `allocs-per-event` is therefore the gateable half of the
 //! perf trajectory: CI asserts it never regresses past a committed
-//! budget (see `--alloc-budget` in `--bin perf` and the perf-smoke job),
+//! budget (see `--alloc-budget` in `c3 perf` and the perf-smoke job),
 //! while events/sec is recorded but not gated.
 //!
 //! Hand-rolled on `std::alloc::System` — no external dependency, so
-//! offline builds keep working. Install it per binary:
+//! offline builds keep working. The `c3` binary installs it for every
+//! subcommand; another binary installs it the same way:
 //!
 //! ```ignore
 //! #[global_allocator]
@@ -56,7 +57,7 @@ pub fn alloc_count() -> u64 {
 
 #[cfg(test)]
 mod tests {
-    // `alloc_count` is exercised end-to-end by `--bin perf` (which
+    // `alloc_count` is exercised end-to-end by `c3 perf` (which
     // installs the allocator); here we only pin that the counter is
     // monotonic and safe to read without installation.
     #[test]

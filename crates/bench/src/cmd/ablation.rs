@@ -6,24 +6,24 @@
 //!    Fig.-7 eviction recalls.
 //! 3. **DCOH blocking (convoy)** — stalled-request counts under rising
 //!    hot-line contention, the root cause of §VI-C1's slowdowns.
-//!
-//! Usage: `cargo run --release -p c3-bench --bin ablation`
 
 use c3::system::GlobalProtocol;
-use c3_bench::{run_workload, RunConfig};
-use c3_protocol::mcm::Mcm;
-use c3_protocol::states::ProtocolFamily;
 use c3_workloads::WorkloadSpec;
 
-fn cxl_cfg() -> RunConfig {
-    RunConfig::scaled(
-        (ProtocolFamily::Mesi, ProtocolFamily::Mesi),
-        GlobalProtocol::Cxl,
-        (Mcm::Weak, Mcm::Weak),
-    )
-}
+use crate::cli::{Args, CliError, Subcommand, SHARDS};
+use crate::run_workload;
 
-fn main() {
+pub(crate) const CMD: Subcommand = Subcommand {
+    name: "ablation",
+    about: "Ablations: fabric ordering, CXL-cache capacity, DCOH blocking convoy",
+    operands: "",
+    flags: &[SHARDS],
+    run,
+};
+
+fn run(args: &Args) -> Result<(), CliError> {
+    let mut cxl = super::mesi(GlobalProtocol::Cxl);
+    cxl.shards = args.shards()?;
     println!("== Ablation 1: S2M channel ordering (contention-boosted histogram) ==");
     // Crank the hot-line contention so request/snoop races are frequent.
     let mut spec = WorkloadSpec::by_name("histogram").expect("workload");
@@ -35,7 +35,7 @@ fn main() {
         let mut bisnp = 0.0;
         let mut exec = 0;
         for seed in 0..4 {
-            let mut cfg = cxl_cfg();
+            let mut cfg = cxl;
             cfg.ordered_s2m = ordered;
             cfg.seed = 0xAB + seed;
             let r = run_workload(&spec, &cfg);
@@ -53,7 +53,7 @@ fn main() {
     println!("\n== Ablation 2: C3 CXL-cache capacity (workload: canneal) ==");
     let spec = WorkloadSpec::by_name("canneal").expect("workload");
     for (sets, ways) in [(2048usize, 8usize), (256, 4), (64, 4), (16, 4)] {
-        let mut cfg = cxl_cfg();
+        let mut cfg = cxl;
         cfg.cxl_cache = (sets, ways);
         let r = run_workload(&spec, &cfg);
         let evictions: f64 = r
@@ -88,7 +88,7 @@ fn main() {
         spec.shared_fraction = shared;
         spec.hot_fraction = 0.8;
         spec.hot_lines = 4;
-        let r = run_workload(&spec, &cxl_cfg());
+        let r = run_workload(&spec, &cxl);
         println!(
             "  hot traffic {:>4.1}%: exec {:>8} ns   DCOH stalled {:>6}   BISnp {:>6}   conflicts {:>4}",
             shared * 80.0,
@@ -99,4 +99,5 @@ fn main() {
         );
     }
     println!("  (stalled requests queue behind blocked snoops — the convoy behind Fig. 10's worst cases)");
+    Ok(())
 }

@@ -11,13 +11,15 @@
 //! * the same seed reproduces a bit-identical run, report included.
 //!
 //! ```text
-//! cargo run -p c3-bench --bin chaos                  # default sweep
-//! cargo run -p c3-bench --bin chaos -- --seed 9 --iters 40
-//! cargo run -p c3-bench --bin chaos -- --drop 0.05 --poison 0.002
+//! c3 chaos                          # default sweep
+//! c3 chaos --seed 9 --iters 40
+//! c3 chaos --drop 0.05 --poison 0.002
 //! ```
 //!
-//! Exit status is nonzero on any invariant violation, so CI can run this
-//! directly as a convergence gate.
+//! With no rate flags it sweeps drop rates 0 / 1% / 2% / 5% plus a mixed
+//! dup+delay+poison round and a link-flap round. Exit status is nonzero
+//! on any invariant violation, so CI can run this directly as a
+//! convergence gate.
 
 use c3::system::{ClusterSpec, GlobalProtocol, SystemBuilder};
 use c3::ResilienceConfig;
@@ -28,6 +30,24 @@ use c3_sim::fault::{FaultPlan, Flap, LinkFaults};
 use c3_sim::kernel::RunOutcome;
 use c3_sim::time::Delay;
 
+use crate::cli::{usage_error, Args, CliError, Flag, Subcommand, THREADS};
+
+pub(crate) const CMD: Subcommand = Subcommand {
+    name: "chaos",
+    about: "Fault-injection soak over lossy CXL links (rate flags replace the default sweep)",
+    operands: "",
+    flags: &[
+        Flag::Num("--seed", "N", "fault and system seed (default: 42)"),
+        Flag::Num("--iters", "N", "RMW rounds per core (default: 60)"),
+        THREADS,
+        Flag::Num("--drop", "P", "message-loss probability"),
+        Flag::Num("--dup", "P", "duplicate-delivery probability"),
+        Flag::Num("--delay", "P", "probability of a 200 ns delay"),
+        Flag::Num("--poison", "P", "data-poisoning probability"),
+    ],
+    run,
+};
+
 const SHARED: Addr = Addr(5);
 /// Second contended line on the other CXL device when two are present
 /// (line-interleaved), doubling cross-cluster traffic.
@@ -35,16 +55,6 @@ const SHARED2: Addr = Addr(6);
 const PRIVATE_BASE: u64 = 100;
 const CORES_PER_CLUSTER: usize = 2;
 const CLUSTERS: usize = 2;
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: chaos [--seed N] [--iters N] [--threads N] [--drop P] [--dup P] [--delay P] \
-         [--poison P]"
-    );
-    eprintln!("       with no rate flags, sweeps drop rates 0 / 1% / 2% / 5%");
-    eprintln!("       plus one mixed dup+delay+poison round");
-    std::process::exit(2);
-}
 
 /// One soak run; panics (→ nonzero exit) on any violated invariant.
 /// Returns the summary line (printed by the caller in sweep order, so
@@ -167,34 +177,30 @@ fn run_once(seed: u64, iters: u64, faults: LinkFaults, label: &str) -> (String, 
     (summary, rendered)
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut seed = 42u64;
-    let mut iters = 60u64;
-    let mut threads = c3_bench::runner::default_threads();
-    let mut explicit: Option<LinkFaults> = None;
-    let mut it = args.iter();
-    fn num<T: std::str::FromStr>(it: &mut std::slice::Iter<'_, String>) -> T {
-        it.next()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| usage())
-    }
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--seed" => seed = num(&mut it),
-            "--iters" => iters = num(&mut it),
-            "--threads" => threads = num(&mut it),
-            "--drop" => explicit.get_or_insert_with(LinkFaults::default).drop_p = num(&mut it),
-            "--dup" => explicit.get_or_insert_with(LinkFaults::default).dup_p = num(&mut it),
-            "--delay" => {
-                let f = explicit.get_or_insert_with(LinkFaults::default);
-                f.delay_p = num(&mut it);
-                f.delay = Delay::from_ns(200);
-            }
-            "--poison" => explicit.get_or_insert_with(LinkFaults::default).poison_p = num(&mut it),
-            "-h" | "--help" => usage(),
-            _ => usage(),
+fn run(args: &Args) -> Result<(), CliError> {
+    let seed = args.num("--seed")?.unwrap_or(42u64);
+    let iters = args.num("--iters")?.unwrap_or(60u64);
+    let threads = args.threads()?;
+    let rate = |flag: &str| match args.num::<f64>(flag)? {
+        Some(p) if !(0.0..=1.0).contains(&p) => {
+            Err(usage_error(format!("{flag} {p}: not a probability")))
         }
+        p => Ok(p),
+    };
+    let mut explicit: Option<LinkFaults> = None;
+    if let Some(p) = rate("--drop")? {
+        explicit.get_or_insert_with(LinkFaults::default).drop_p = p;
+    }
+    if let Some(p) = rate("--dup")? {
+        explicit.get_or_insert_with(LinkFaults::default).dup_p = p;
+    }
+    if let Some(p) = rate("--delay")? {
+        let f = explicit.get_or_insert_with(LinkFaults::default);
+        f.delay_p = p;
+        f.delay = Delay::from_ns(200);
+    }
+    if let Some(p) = rate("--poison")? {
+        explicit.get_or_insert_with(LinkFaults::default).poison_p = p;
     }
 
     let sweeps: Vec<(String, LinkFaults)> = if let Some(f) = explicit {
@@ -230,7 +236,7 @@ fn main() {
 
     // Sweep points are independent seeded runs; soak them in parallel on
     // the shared runner and print summaries in sweep order afterwards.
-    let summaries = c3_bench::runner::run_indexed(threads, &sweeps, |_, (label, faults)| {
+    let summaries = crate::runner::run_indexed(threads, &sweeps, |_, (label, faults)| {
         let (summary, a) = run_once(seed, iters, *faults, label);
         let (_, b) = run_once(seed, iters, *faults, label);
         assert_eq!(a, b, "{label}: same seed produced different reports");
@@ -240,4 +246,5 @@ fn main() {
         println!("{s}");
     }
     println!("chaos: all {} sweep point(s) converged", sweeps.len());
+    Ok(())
 }

@@ -9,70 +9,45 @@
 //!
 //! The 33 × 4 grid runs in parallel on the shared runner; the table is
 //! identical for any thread count.
-//!
-//! Usage: `cargo run --release -p c3-bench --bin fig10 [-- --ops N]
-//! [--workloads a,b,c] [--csv PATH] [--json PATH] [--threads N]`
 
 use c3::system::GlobalProtocol;
-use c3_bench::runner::{self, Experiment};
-use c3_bench::{geomean, RunConfig};
 use c3_protocol::mcm::Mcm;
 use c3_protocol::states::ProtocolFamily;
-use c3_workloads::{Suite, WorkloadSpec};
+use c3_workloads::Suite;
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let mut ops = 1500usize;
-    let mut filter: Option<Vec<String>> = None;
-    let mut csv: Option<String> = None;
-    let mut json: Option<String> = None;
-    let mut threads = runner::default_threads();
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--ops" => {
-                ops = args[i + 1].parse().expect("ops");
-                i += 2;
-            }
-            "--workloads" => {
-                filter = Some(args[i + 1].split(',').map(|s| s.to_string()).collect());
-                i += 2;
-            }
-            "--csv" => {
-                csv = Some(args[i + 1].clone());
-                i += 2;
-            }
-            "--json" => {
-                json = Some(args[i + 1].clone());
-                i += 2;
-            }
-            "--threads" => {
-                threads = args[i + 1].parse().expect("threads");
-                i += 2;
-            }
-            other => panic!("unknown arg {other}"),
-        }
-    }
+use crate::cli::{self, Args, CliError, Flag, Subcommand, JSON, OPS, SHARDS, THREADS, WORKLOADS};
+use crate::runner::{self, Experiment};
+use crate::{geomean, RunConfig};
+
+pub(crate) const CMD: Subcommand = Subcommand {
+    name: "fig10",
+    about: "Figure 10: the 33 workloads under four protocol combinations (default 1500 ops)",
+    operands: "",
+    flags: &[
+        OPS,
+        WORKLOADS,
+        Flag::Text("--csv", "PATH", "write the normalized table as CSV to PATH"),
+        JSON,
+        THREADS,
+        SHARDS,
+    ],
+    run,
+};
+
+fn run(args: &Args) -> Result<(), CliError> {
+    let ops = args.num(OPS.name())?.unwrap_or(1500usize);
+    let specs = cli::paper_workloads(args)?;
+    let threads = args.threads()?;
+    let shards = args.shards()?;
     let mut csv_rows =
         vec!["workload,suite,base_ns,mesi_cxl_mesi,mesi_cxl_moesi,mesi_cxl_mesif".to_string()];
 
     let configs: Vec<(&str, RunConfig)> = vec![
         (
             "MESI-MESI-MESI",
-            RunConfig::scaled(
-                (ProtocolFamily::Mesi, ProtocolFamily::Mesi),
-                GlobalProtocol::Hierarchical(ProtocolFamily::Mesi),
-                (Mcm::Weak, Mcm::Weak),
-            ),
+            super::mesi(GlobalProtocol::Hierarchical(ProtocolFamily::Mesi)),
         ),
-        (
-            "MESI-CXL-MESI",
-            RunConfig::scaled(
-                (ProtocolFamily::Mesi, ProtocolFamily::Mesi),
-                GlobalProtocol::Cxl,
-                (Mcm::Weak, Mcm::Weak),
-            ),
-        ),
+        ("MESI-CXL-MESI", super::mesi(GlobalProtocol::Cxl)),
         (
             "MESI-CXL-MOESI",
             RunConfig::scaled(
@@ -91,22 +66,13 @@ fn main() {
         ),
     ];
 
-    let specs: Vec<WorkloadSpec> = WorkloadSpec::all()
-        .into_iter()
-        .filter(|spec| {
-            filter
-                .as_ref()
-                .map(|f| f.iter().any(|n| n == spec.name))
-                .unwrap_or(true)
-        })
-        .collect();
-
     // Row-major grid: results[4*w + c] is workload w under config c.
     let mut grid = Vec::new();
     for spec in &specs {
         for (_, cfg) in &configs {
             let mut cfg = *cfg;
             cfg.ops_per_core = ops;
+            cfg.shards = shards;
             grid.push(Experiment::new(*spec, cfg));
         }
     }
@@ -160,12 +126,12 @@ fn main() {
         }
     }
 
-    if let Some(path) = csv {
-        std::fs::write(&path, csv_rows.join("\n") + "\n").expect("write csv");
+    if let Some(path) = args.text("--csv") {
+        cli::write(path, &(csv_rows.join("\n") + "\n"))?;
         println!("\n(wrote {path})");
     }
-    if let Some(path) = json {
-        std::fs::write(&path, runner::grid_json(&grid, &results, true)).expect("write json");
+    if let Some(path) = args.text(JSON.name()) {
+        cli::write(path, &runner::grid_json(&grid, &results, true))?;
         println!("\n(wrote {path})");
     }
     println!("\nPer-suite geomean (normalized):");
@@ -201,4 +167,5 @@ fn main() {
             (max(&per_config[2]) - 1.0) * 100.0
         );
     }
+    Ok(())
 }

@@ -11,35 +11,27 @@
 //!
 //! The 4 × 2 grid runs in parallel on the shared runner; the tables are
 //! identical for any thread count.
-//!
-//! Usage: `cargo run --release -p c3-bench --bin fig11 [-- --ops N]
-//! [--threads N]`
 
 use c3::system::GlobalProtocol;
-use c3_bench::runner::{self, Experiment};
-use c3_bench::{miss_breakdown, RunConfig};
-use c3_protocol::mcm::Mcm;
 use c3_protocol::states::ProtocolFamily;
 use c3_workloads::WorkloadSpec;
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let mut ops = 1500usize;
-    let mut threads = runner::default_threads();
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--ops" => {
-                ops = args[i + 1].parse().expect("ops");
-                i += 2;
-            }
-            "--threads" => {
-                threads = args[i + 1].parse().expect("threads");
-                i += 2;
-            }
-            other => panic!("unknown arg {other}"),
-        }
-    }
+use crate::cli::{Args, CliError, Subcommand, OPS, SHARDS, THREADS};
+use crate::miss_breakdown;
+use crate::runner::{self, Experiment};
+
+pub(crate) const CMD: Subcommand = Subcommand {
+    name: "fig11",
+    about: "Figure 11: miss cycles by latency band and instruction type (default 1500 ops)",
+    operands: "",
+    flags: &[OPS, THREADS, SHARDS],
+    run,
+};
+
+fn run(args: &Args) -> Result<(), CliError> {
+    let ops = args.num(OPS.name())?.unwrap_or(1500usize);
+    let threads = args.threads()?;
+    let shards = args.shards()?;
     let workloads = ["histogram", "barnes", "lu-ncont", "vips"];
     let globals = [
         GlobalProtocol::Hierarchical(ProtocolFamily::Mesi),
@@ -51,12 +43,9 @@ fn main() {
     for name in workloads {
         let spec = WorkloadSpec::by_name(name).expect("workload");
         for global in globals {
-            let mut cfg = RunConfig::scaled(
-                (ProtocolFamily::Mesi, ProtocolFamily::Mesi),
-                global,
-                (Mcm::Weak, Mcm::Weak),
-            );
+            let mut cfg = super::mesi(global);
             cfg.ops_per_core = ops;
+            cfg.shards = shards;
             grid.push(Experiment::new(spec, cfg));
         }
     }
@@ -123,4 +112,5 @@ fn main() {
             );
         }
     }
+    Ok(())
 }

@@ -11,49 +11,29 @@
 //!
 //! The workload × MCM grid of each scenario runs in parallel on the
 //! shared runner; the tables are identical for any thread count.
-//!
-//! Usage: `cargo run --release -p c3-bench --bin fig9 [-- --ops N]
-//! [--workloads a,b,c] [--threads N]`
 
 use c3::system::GlobalProtocol;
-use c3_bench::runner::{self, Experiment};
-use c3_bench::{geomean, RunConfig};
 use c3_protocol::mcm::Mcm;
 use c3_protocol::states::ProtocolFamily;
-use c3_workloads::{Suite, WorkloadSpec};
+use c3_workloads::Suite;
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let mut ops = 1200usize;
-    let mut filter: Option<Vec<String>> = None;
-    let mut threads = runner::default_threads();
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--ops" => {
-                ops = args[i + 1].parse().expect("ops");
-                i += 2;
-            }
-            "--workloads" => {
-                filter = Some(args[i + 1].split(',').map(|s| s.to_string()).collect());
-                i += 2;
-            }
-            "--threads" => {
-                threads = args[i + 1].parse().expect("threads");
-                i += 2;
-            }
-            other => panic!("unknown arg {other}"),
-        }
-    }
-    let specs: Vec<WorkloadSpec> = WorkloadSpec::all()
-        .into_iter()
-        .filter(|spec| {
-            filter
-                .as_ref()
-                .map(|f| f.iter().any(|n| n == spec.name))
-                .unwrap_or(true)
-        })
-        .collect();
+use crate::cli::{self, Args, CliError, Subcommand, OPS, SHARDS, THREADS, WORKLOADS};
+use crate::runner::{self, Experiment};
+use crate::{geomean, RunConfig};
+
+pub(crate) const CMD: Subcommand = Subcommand {
+    name: "fig9",
+    about: "Figure 9: heterogeneous-MCM performance (Arm/TSO mixes, default 1200 ops)",
+    operands: "",
+    flags: &[OPS, WORKLOADS, THREADS, SHARDS],
+    run,
+};
+
+fn run(args: &Args) -> Result<(), CliError> {
+    let ops = args.num(OPS.name())?.unwrap_or(1200usize);
+    let specs = cli::paper_workloads(args)?;
+    let threads = args.threads()?;
+    let shards = args.shards()?;
     let mcm_combos = [
         (Mcm::Weak, Mcm::Weak),
         (Mcm::Tso, Mcm::Tso),
@@ -77,6 +57,7 @@ fn main() {
             for mcms in mcm_combos {
                 let mut cfg = RunConfig::scaled(protos, GlobalProtocol::Cxl, mcms);
                 cfg.ops_per_core = ops;
+                cfg.shards = shards;
                 grid.push(Experiment::new(*spec, cfg).tagged(format!(
                     "{}/{}/{:?}-{:?}",
                     spec.name,
@@ -154,4 +135,5 @@ fn main() {
         }
         println!();
     }
+    Ok(())
 }

@@ -2,36 +2,41 @@
 //! CXL-sensitive applications, a few cache lines are hot-spots for both
 //! reads and writes *across the two clusters*; insensitive applications
 //! show no multi-host hot lines.
-//!
-//! Usage: `cargo run --release -p c3-bench --bin hotspots [-- workload...]`
 
 use c3::system::GlobalProtocol;
-use c3_bench::{run_workload_with, RunConfig};
-use c3_protocol::mcm::Mcm;
-use c3_protocol::states::ProtocolFamily;
-use c3_workloads::WorkloadSpec;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let names: Vec<String> = if args.is_empty() {
-        vec!["histogram".into(), "barnes".into(), "vips".into()]
+use crate::cli::{self, Args, CliError, Subcommand, SHARDS};
+use crate::run_workload_with;
+
+pub(crate) const CMD: Subcommand = Subcommand {
+    name: "hotspots",
+    about: "Section VI-C1: multi-host hot lines at the DCOH (default: histogram barnes vips)",
+    operands: "[workload...]",
+    flags: &[SHARDS],
+    run,
+};
+
+fn run(args: &Args) -> Result<(), CliError> {
+    let defaults = ["histogram", "barnes", "vips"].map(String::from);
+    let names = if args.operands().is_empty() {
+        &defaults[..]
     } else {
-        args
+        args.operands()
     };
-    for name in names {
-        let spec = WorkloadSpec::by_name(&name).expect("workload");
-        let cfg = RunConfig::scaled(
-            (ProtocolFamily::Mesi, ProtocolFamily::Mesi),
-            GlobalProtocol::Cxl,
-            (Mcm::Weak, Mcm::Weak),
-        );
-        let (result, hot) = run_workload_with(&spec, &cfg, |sim, handles| {
+    let specs = names
+        .iter()
+        .map(|n| cli::workload(n))
+        .collect::<Result<Vec<_>, _>>()?;
+    let mut cfg = super::mesi(GlobalProtocol::Cxl);
+    cfg.shards = args.shards()?;
+    for spec in &specs {
+        let (result, hot) = run_workload_with(spec, &cfg, |sim, handles| {
             sim.component_as::<c3_cxl::CxlDirectory>(handles.global_dir)
                 .expect("dcoh")
                 .engine()
                 .hottest(8)
         });
-        println!("\n== {name} ==  exec {} ns", result.exec_ns);
+        println!("\n== {} ==  exec {} ns", spec.name, result.exec_ns);
         println!(
             "   {:<8} {:>8} {:>8} {:>8}",
             "line", "reads", "writes", "hosts"
@@ -51,4 +56,5 @@ fn main() {
             );
         }
     }
+    Ok(())
 }

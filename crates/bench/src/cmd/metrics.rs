@@ -1,11 +1,13 @@
 //! `metrics` — run one named workload with sampled telemetry enabled,
-//! write the timeseries (CSV by default, JSON with `--json`), and print
-//! a windowed summary plus peak-window bottleneck attribution.
+//! write the timeseries (CSV to `--out`, default `metrics-<workload>.csv`,
+//! or JSON to `--json PATH`), and print a windowed summary plus
+//! peak-window bottleneck attribution.
 //!
 //! ```text
-//! cargo run -p c3-bench --bin metrics -- vips
-//! cargo run -p c3-bench --bin metrics -- histogram --interval-ns 50 --out /tmp/h.csv --full
-//! cargo run -p c3-bench --bin metrics -- vips --trace /tmp/vips.json
+//! c3 metrics vips
+//! c3 metrics histogram --interval-ns 50 --out /tmp/h.csv --full
+//! c3 metrics vips --json /tmp/vips-metrics.json
+//! c3 metrics vips --trace /tmp/vips.json
 //! ```
 //!
 //! The timeseries covers per-link backlog/throughput, L1 MSHR occupancy,
@@ -15,36 +17,32 @@
 //! byte-identical files. `--trace` additionally writes a Perfetto trace
 //! with the sampled series appended as counter tracks.
 
-use c3::system::GlobalProtocol;
-use c3_bench::{build_sim, RunConfig};
-use c3_protocol::mcm::Mcm;
-use c3_protocol::states::ProtocolFamily;
+use std::num::NonZeroU64;
+
 use c3_sim::kernel::RunOutcome;
 use c3_sim::metrics::MetricsHub;
-use c3_workloads::WorkloadSpec;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: metrics <workload> [--interval-ns N] [--out FILE] [--json] [--quick|--full]\n\
-         \x20                 [--baseline] [--trace FILE] [--max-windows N]"
-    );
-    eprintln!(
-        "       --interval-ns N   sample interval in simulated ns (default: 25 quick, 100 full)"
-    );
-    eprintln!("       --out FILE        timeseries path (default: metrics-<workload>.csv/.json)");
-    eprintln!("       --json            write the JSON export (with per-window hot addresses)");
-    eprintln!("       --quick           quick configuration (the default; kept for CI clarity)");
-    eprintln!("       --full            paper-scale run instead of the quick configuration");
-    eprintln!("       --baseline        hierarchical MESI global instead of CXL");
-    eprintln!("       --trace FILE      also write a Perfetto trace with counter tracks");
-    eprintln!("       --max-windows N   decimation cap on stored windows (default: 4096)");
-    eprintln!("workloads:");
-    let mut names: Vec<&str> = WorkloadSpec::all().iter().map(|w| w.name).collect();
-    names.sort_unstable();
-    names.dedup();
-    eprintln!("  {}", names.join(" "));
-    std::process::exit(2);
-}
+use crate::build_sim;
+use crate::cli::{
+    self, usage_error, Args, CliError, Flag, Subcommand, BASELINE, FULL, JSON, OUT, QUICK,
+};
+
+pub(crate) const CMD: Subcommand = Subcommand {
+    name: "metrics",
+    about: "Sampled telemetry of one workload: timeseries file + bottleneck attribution",
+    operands: "<workload>",
+    flags: &[
+        Flag::Num("--interval-ns", "N", "sample every N sim ns (25 quick/100)"),
+        OUT,
+        JSON,
+        QUICK,
+        FULL,
+        BASELINE,
+        Flag::Text("--trace", "PATH", "also write a Perfetto trace to PATH"),
+        Flag::Num("--max-windows", "N", "stored-window cap (default: 4096)"),
+    ],
+    run,
+};
 
 /// Columns of interest, resolved once from the registered metric names.
 struct Columns {
@@ -121,65 +119,26 @@ fn attribute(hub: &MetricsHub, cols: &Columns, w: usize) -> (f64, Best, Best) {
     (total, best_comp, best_link)
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut workload = None;
-    let mut out_path = None;
-    let mut interval_ns = None;
-    let mut json = false;
-    let mut full = false;
-    let mut baseline = false;
-    let mut trace_path = None;
-    let mut max_windows = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--out" => out_path = Some(it.next().unwrap_or_else(|| usage()).clone()),
-            "--interval-ns" => {
-                interval_ns = Some(
-                    it.next()
-                        .and_then(|v| v.parse::<u64>().ok())
-                        .filter(|&n| n > 0)
-                        .unwrap_or_else(|| usage()),
-                )
-            }
-            "--max-windows" => {
-                max_windows = Some(
-                    it.next()
-                        .and_then(|v| v.parse::<usize>().ok())
-                        .unwrap_or_else(|| usage()),
-                )
-            }
-            "--trace" => trace_path = Some(it.next().unwrap_or_else(|| usage()).clone()),
-            "--json" => json = true,
-            "--quick" => full = false,
-            "--full" => full = true,
-            "--baseline" => baseline = true,
-            "-h" | "--help" => usage(),
-            name if workload.is_none() => workload = Some(name.to_string()),
-            _ => usage(),
+fn run(args: &Args) -> Result<(), CliError> {
+    let (name, spec, cfg) = super::trace::workload_config(args)?;
+    let interval_ns: Option<NonZeroU64> = args.num("--interval-ns")?;
+    let max_windows: Option<usize> = args.num("--max-windows")?;
+    let full = args.has(FULL.name());
+    let trace_path = args.text("--trace");
+    let (json, path) = match (args.text(OUT.name()), args.text(JSON.name())) {
+        (Some(_), Some(_)) => {
+            return Err(usage_error(
+                "--out (CSV) and --json (JSON) exclude each other",
+            ))
         }
-    }
-    let Some(name) = workload else { usage() };
-    let Some(spec) = WorkloadSpec::by_name(&name) else {
-        eprintln!("unknown workload: {name}");
-        usage();
+        (None, Some(p)) => (true, p.to_string()),
+        (out, None) => (
+            false,
+            out.map_or_else(|| format!("metrics-{name}.csv"), String::from),
+        ),
     };
 
-    let global = if baseline {
-        GlobalProtocol::Hierarchical(ProtocolFamily::Mesi)
-    } else {
-        GlobalProtocol::Cxl
-    };
-    let mut cfg = RunConfig::scaled(
-        (ProtocolFamily::Mesi, ProtocolFamily::Mesi),
-        global,
-        (Mcm::Weak, Mcm::Weak),
-    );
-    if !full {
-        cfg = cfg.quick();
-    }
-    cfg = cfg.metrics_ns(interval_ns.unwrap_or(if full { 100 } else { 25 }));
+    let cfg = cfg.metrics_ns(interval_ns.map_or(if full { 100 } else { 25 }, NonZeroU64::get));
 
     let (mut sim, _handles) = build_sim(&spec, &cfg);
     if let Some(cap) = max_windows {
@@ -195,22 +154,14 @@ fn main() {
 
     // Write the timeseries before anything else — a truncated run is
     // exactly when the occupancy history is most valuable.
-    let path =
-        out_path.unwrap_or_else(|| format!("metrics-{name}.{}", if json { "json" } else { "csv" }));
     let body = if json {
         sim.metrics().to_json()
     } else {
         sim.metrics().to_csv()
     };
-    std::fs::write(&path, body).unwrap_or_else(|e| {
-        eprintln!("cannot write {path}: {e}");
-        std::process::exit(1);
-    });
-    if let Some(tp) = &trace_path {
-        std::fs::write(tp, sim.trace_json()).unwrap_or_else(|e| {
-            eprintln!("cannot write {tp}: {e}");
-            std::process::exit(1);
-        });
+    cli::write(&path, &body)?;
+    if let Some(tp) = trace_path {
+        cli::write(tp, &sim.trace_json())?;
     }
 
     if matches!(
@@ -218,8 +169,9 @@ fn main() {
         RunOutcome::Deadlock | RunOutcome::EventLimit | RunOutcome::TimeLimit
     ) {
         eprintln!("{}", sim.post_mortem(outcome));
-        eprintln!("partial timeseries written to {path}");
-        std::process::exit(1);
+        return Err(CliError::Failed(format!(
+            "partial timeseries written to {path}"
+        )));
     }
 
     let hub = sim.metrics();
@@ -238,8 +190,9 @@ fn main() {
         hub.decimations()
     );
     if windows == 0 {
-        eprintln!("no samples taken: run shorter than one sample interval");
-        std::process::exit(1);
+        return Err(CliError::Failed(
+            "no samples taken: run shorter than one sample interval".into(),
+        ));
     }
 
     let cols = resolve_columns(hub);
@@ -326,4 +279,5 @@ fn main() {
             parts.join("; ")
         }
     );
+    Ok(())
 }

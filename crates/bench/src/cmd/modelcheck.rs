@@ -10,11 +10,11 @@
 //! controllers cannot silently drift apart.
 //!
 //! ```text
-//! cargo run --release -p c3-bench --bin modelcheck            # fast battery
-//! cargo run --release -p c3-bench --bin modelcheck -- --deep  # 3x2 ops=2 headline
-//! cargo run --release -p c3-bench --bin modelcheck -- --config 3x2 --ops 2 --faults 1
-//! cargo run --release -p c3-bench --bin modelcheck -- --inject lost-grant-livelock
-//! cargo run --release -p c3-bench --bin modelcheck -- --self-test
+//! c3 modelcheck            # fast battery
+//! c3 modelcheck --deep     # 3x2 ops=2 headline
+//! c3 modelcheck --config 3x2 --ops 2 --faults 1
+//! c3 modelcheck --inject lost-grant-livelock
+//! c3 modelcheck --self-test
 //! ```
 //!
 //! Exit codes: `0` clean (or the injected bug was caught, under
@@ -25,125 +25,52 @@
 use c3::bridge::bridge_transition_table;
 use c3_cxl::dcoh::dcoh_transition_table;
 use c3_protocol::states::ProtocolFamily;
-use c3_verif::resilient::{check_resilient, Injection, RViolation, ResilientConfig};
+use c3_verif::resilient::{
+    check_resilient, Injection, RViolation, ResilientConfig, MAX_ADDRS, MAX_CLUSTERS,
+};
 use c3_verif::static_checks::check_model_conformance;
+
+use crate::cli::{usage_error, Args, CliError, Flag, Subcommand};
+
+pub(crate) const CMD: Subcommand = Subcommand {
+    name: "modelcheck",
+    about: "Symmetry-reduced exhaustive check of the resilient protocol model",
+    operands: "",
+    flags: &[
+        Flag::Text("--config", "CxA", "clusters x addresses, e.g. 3x2"),
+        Flag::Num("--ops", "N", "operations per cluster"),
+        Flag::Num("--faults", "N", "fault budget"),
+        Flag::Num("--retries", "N", "retry budget (at least the fault budget)"),
+        Flag::Num("--max-states", "N", "stop exploring after N states"),
+        Flag::Switch("--no-symmetry", "explore without symmetry reduction"),
+        Flag::Text("--spill", "PATH", "spill the frontier to PATH"),
+        Flag::Num("--min-reduction", "F", "fail below this symmetry reduction"),
+        Flag::Switch("--deep", "also run the 3x2, two-ops-per-cluster headline"),
+        Flag::Text("--inject", "KIND", "lost-grant-livelock or poison-launder"),
+        Flag::Switch("--self-test", "check that both seeded bugs are caught"),
+    ],
+    run,
+};
 
 /// The default fast battery: every topology up to 3 hosts × 2 addresses
 /// with one operation per cluster and one fault budget. Completes in
 /// well under a second in release builds.
 const BATTERY: [(usize, usize); 4] = [(2, 1), (2, 2), (3, 1), (3, 2)];
 
-struct Args {
-    config: Option<(usize, usize)>,
-    ops: Option<u8>,
-    faults: Option<u8>,
-    retries: Option<u8>,
-    max_states: Option<usize>,
-    no_symmetry: bool,
-    spill: Option<String>,
-    inject: Option<Injection>,
-    self_test: bool,
-    deep: bool,
-    min_reduction: Option<f64>,
-}
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: modelcheck [--config CxA] [--ops N] [--faults N] [--retries N]\n\
-         \x20                 [--max-states N] [--no-symmetry] [--spill PATH]\n\
-         \x20                 [--min-reduction F] [--deep]\n\
-         \x20                 [--inject lost-grant-livelock|poison-launder] [--self-test]"
-    );
-    std::process::exit(2);
-}
-
-fn parse_args() -> Args {
-    let mut out = Args {
-        config: None,
-        ops: None,
-        faults: None,
-        retries: None,
-        max_states: None,
-        no_symmetry: false,
-        spill: None,
-        inject: None,
-        self_test: false,
-        deep: false,
-        min_reduction: None,
-    };
-    let mut args = std::env::args().skip(1);
-    fn next_val(args: &mut impl Iterator<Item = String>, flag: &str) -> String {
-        args.next().unwrap_or_else(|| {
-            eprintln!("modelcheck: {flag} needs a value");
-            usage();
-        })
-    }
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--config" => {
-                let v = next_val(&mut args, "--config");
-                let Some((c, n)) = v.split_once('x') else {
-                    eprintln!("modelcheck: --config wants CLUSTERSxADDRS, e.g. 3x2");
-                    usage();
-                };
-                match (c.parse(), n.parse()) {
-                    (Ok(c), Ok(n)) => out.config = Some((c, n)),
-                    _ => {
-                        eprintln!("modelcheck: bad --config {v:?}");
-                        usage();
-                    }
-                }
-            }
-            "--ops" => {
-                out.ops = next_val(&mut args, "--ops")
-                    .parse()
-                    .ok()
-                    .or_else(|| usage())
-            }
-            "--faults" => {
-                out.faults = next_val(&mut args, "--faults")
-                    .parse()
-                    .ok()
-                    .or_else(|| usage())
-            }
-            "--retries" => {
-                out.retries = next_val(&mut args, "--retries")
-                    .parse()
-                    .ok()
-                    .or_else(|| usage())
-            }
-            "--max-states" => {
-                out.max_states = next_val(&mut args, "--max-states")
-                    .parse()
-                    .ok()
-                    .or_else(|| usage())
-            }
-            "--min-reduction" => {
-                out.min_reduction = next_val(&mut args, "--min-reduction")
-                    .parse()
-                    .ok()
-                    .or_else(|| usage())
-            }
-            "--no-symmetry" => out.no_symmetry = true,
-            "--spill" => out.spill = Some(next_val(&mut args, "--spill")),
-            "--inject" => {
-                let v = next_val(&mut args, "--inject");
-                out.inject = Some(Injection::parse(&v).unwrap_or_else(|| {
-                    eprintln!("modelcheck: unknown injection {v:?}");
-                    eprintln!("  (expected lost-grant-livelock or poison-launder)");
-                    std::process::exit(2);
-                }));
-            }
-            "--self-test" => out.self_test = true,
-            "--deep" => out.deep = true,
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("modelcheck: unknown argument {other:?}");
-                usage();
-            }
+/// Parse `--config CxA`, bounded by what the model represents.
+fn parse_config(v: &str) -> Result<(usize, usize), CliError> {
+    let parsed = v
+        .split_once('x')
+        .and_then(|(c, a)| Some((c.parse().ok()?, a.parse().ok()?)));
+    match parsed {
+        Some((c, a)) if (1..=MAX_CLUSTERS).contains(&c) && (1..=MAX_ADDRS).contains(&a) => {
+            Ok((c, a))
         }
+        _ => Err(usage_error(format!(
+            "--config {v}: want CLUSTERSxADDRS with 1..={MAX_CLUSTERS} clusters \
+             and 1..={MAX_ADDRS} addresses, e.g. 3x2"
+        ))),
     }
-    out
 }
 
 /// The invariant class each seeded bug must trip.
@@ -162,31 +89,6 @@ fn violation_class(v: &RViolation) -> &'static str {
         RViolation::Poison(_) => "poison",
         RViolation::Deadlock(_) => "deadlock",
     }
-}
-
-fn build_config(args: &Args, clusters: usize, addrs: usize) -> ResilientConfig {
-    let mut cfg = ResilientConfig {
-        clusters,
-        addrs,
-        ..ResilientConfig::default()
-    };
-    if let Some(o) = args.ops {
-        cfg.ops_per_cluster = o;
-    }
-    if let Some(f) = args.faults {
-        cfg.max_faults = f;
-        cfg.max_retries = cfg.max_retries.max(f);
-    }
-    if let Some(r) = args.retries {
-        cfg.max_retries = r;
-    }
-    if let Some(m) = args.max_states {
-        cfg.max_states = m;
-    }
-    cfg.symmetry = !args.no_symmetry;
-    cfg.spill_path = args.spill.clone().map(std::path::PathBuf::from);
-    cfg.inject = args.inject;
-    cfg
 }
 
 /// Run one configuration; returns `true` if the run is acceptable (no
@@ -298,16 +200,54 @@ fn run_one(cfg: &ResilientConfig, min_reduction: Option<f64>) -> bool {
     }
 }
 
-fn main() {
-    let args = parse_args();
+fn run(args: &Args) -> Result<(), CliError> {
+    let config = args.text("--config").map(parse_config).transpose()?;
+    let ops: Option<u8> = args.num("--ops")?;
+    // Every configuration of the run shares these options.
+    let mut base = ResilientConfig::default();
+    if let Some(o) = ops {
+        base.ops_per_cluster = o;
+    }
+    if let Some(f) = args.num("--faults")? {
+        base.max_faults = f;
+        base.max_retries = base.max_retries.max(f);
+    }
+    if let Some(r) = args.num("--retries")? {
+        base.max_retries = r;
+    }
+    if let Some(m) = args.num("--max-states")? {
+        base.max_states = m;
+    }
+    if base.max_retries < base.max_faults {
+        return Err(usage_error(format!(
+            "--retries {} is below the fault budget {}: lost grants would deadlock",
+            base.max_retries, base.max_faults
+        )));
+    }
+    base.symmetry = !args.has("--no-symmetry");
+    base.spill_path = args.text("--spill").map(std::path::PathBuf::from);
+    base.inject = match args.text("--inject") {
+        None => None,
+        Some(v) => Some(Injection::parse(v).ok_or_else(|| {
+            usage_error(format!(
+                "unknown injection {v:?} (expected lost-grant-livelock or poison-launder)"
+            ))
+        })?),
+    };
+    let topology = |clusters, addrs| ResilientConfig {
+        clusters,
+        addrs,
+        ..base.clone()
+    };
+    let min_reduction: Option<f64> = args.num("--min-reduction")?;
 
-    if args.self_test {
+    if args.has("--self-test") {
         // Both seeded protocol bugs must be detected on a small config;
         // CI runs this so a checker regression cannot hide behind
         // all-clean output.
         let mut ok = true;
         for inj in Injection::ALL {
-            let mut cfg = build_config(&args, 2, 1);
+            let mut cfg = topology(2, 1);
             cfg.inject = Some(inj);
             ok &= run_one(&cfg, None);
         }
@@ -319,30 +259,36 @@ fn main() {
                 "FAILED"
             }
         );
-        std::process::exit(if ok { 0 } else { 1 });
+        return if ok {
+            Ok(())
+        } else {
+            Err(CliError::Failed("self-test failed".into()))
+        };
     }
 
-    let configs: Vec<(usize, usize)> = match args.config {
+    let configs: Vec<(usize, usize)> = match config {
         Some(ca) => vec![ca],
         None => BATTERY.to_vec(),
     };
 
     let mut ok = true;
     for (clusters, addrs) in &configs {
-        let cfg = build_config(&args, *clusters, *addrs);
-        ok &= run_one(&cfg, args.min_reduction);
+        let cfg = topology(*clusters, *addrs);
+        ok &= run_one(&cfg, min_reduction);
     }
-    if args.deep {
+    if args.has("--deep") {
         // The headline exhaustive run: 3 hosts × 2 addresses with two
         // operations per cluster under a one-fault budget. ~18M
         // unreduced states, explored via ~1.5M canonical
         // representatives in well under a minute in release builds.
-        let mut cfg = build_config(&args, 3, 2);
-        cfg.ops_per_cluster = args.ops.unwrap_or(2);
-        ok &= run_one(&cfg, args.min_reduction);
+        let mut cfg = topology(3, 2);
+        cfg.ops_per_cluster = ops.unwrap_or(2);
+        ok &= run_one(&cfg, min_reduction);
     }
     if ok {
         println!("modelcheck: all configurations acceptable");
+        Ok(())
+    } else {
+        Err(CliError::Failed("a configuration failed".into()))
     }
-    std::process::exit(if ok { 0 } else { 1 });
 }

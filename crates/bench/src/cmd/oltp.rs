@@ -10,18 +10,25 @@
 //! percentiles (p50/p95/p99), and the coherence-state footprint
 //! (touched vs peak-resident lines, peak state bytes) from the opt-in
 //! `state_metrics` report keys.
-//!
-//! Usage: `cargo run --release -p c3-bench --bin oltp
-//! [-- --quick] [--threads N] [--ops N] [--json PATH]`
 
 use c3::system::GlobalProtocol;
-use c3_bench::runner::{self, json_escape};
-use c3_bench::{run_workload_with, RunConfig};
 use c3_memsys::{AccessKind, L1Controller};
 use c3_protocol::mcm::Mcm;
 use c3_protocol::states::ProtocolFamily;
 use c3_sim::stats::LatencyHistogram;
 use c3_workloads::{OltpTxnCounts, WorkloadSpec};
+
+use crate::cli::{self, Args, CliError, Subcommand, JSON, OPS, QUICK, SHARDS, THREADS};
+use crate::runner::{self, json_escape};
+use crate::{run_workload_with, RunConfig};
+
+pub(crate) const CMD: Subcommand = Subcommand {
+    name: "oltp",
+    about: "OLTP/KV sweep: zipf skew x clusters x host family over 2^20 keys",
+    operands: "",
+    flags: &[QUICK, THREADS, OPS, JSON, SHARDS],
+    run,
+};
 
 /// One sweep cell.
 struct Cell {
@@ -88,34 +95,11 @@ fn run_cell(cell: &Cell) -> CellResult {
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let mut quick = false;
-    let mut threads = runner::default_threads();
-    let mut ops: Option<usize> = None;
-    let mut json: Option<String> = None;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quick" => {
-                quick = true;
-                i += 1;
-            }
-            "--threads" => {
-                threads = args[i + 1].parse().expect("threads");
-                i += 2;
-            }
-            "--ops" => {
-                ops = Some(args[i + 1].parse().expect("ops"));
-                i += 2;
-            }
-            "--json" => {
-                json = Some(args[i + 1].clone());
-                i += 2;
-            }
-            other => panic!("unknown arg {other}"),
-        }
-    }
+fn run(args: &Args) -> Result<(), CliError> {
+    let quick = args.has(QUICK.name());
+    let threads = args.threads()?;
+    let ops: Option<usize> = args.num(OPS.name())?;
+    let shards = args.shards()?;
 
     // Full sweep: the 2²⁰-key engine (≥10⁶ distinct hot lines) across
     // YCSB-style skews, two topology scales and both host families.
@@ -160,6 +144,7 @@ fn main() {
                 .with_clusters(clusters)
                 .with_state_metrics();
                 cfg.ops_per_core = ops;
+                cfg.shards = shards;
                 cells.push(Cell {
                     tag: format!("skew{skew}/c{clusters}/{}", cfg.label()),
                     spec,
@@ -218,7 +203,7 @@ fn main() {
          store keeps low)"
     );
 
-    if let Some(path) = json {
+    if let Some(path) = args.text(JSON.name()) {
         let mut out = String::from("{\n  \"cells\": [\n");
         for (i, (cell, r)) in cells.iter().zip(&results).enumerate() {
             out.push_str(&format!(
@@ -250,7 +235,8 @@ fn main() {
             ));
         }
         out.push_str("  ]\n}\n");
-        std::fs::write(&path, out).expect("write json");
+        cli::write(path, &out)?;
         println!("(wrote {path})");
     }
+    Ok(())
 }

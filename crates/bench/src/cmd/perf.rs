@@ -17,12 +17,12 @@
 //!
 //! Each measurement reports **events/sec** (wall-clock, noisy) and
 //! **allocs/event** (exact and deterministic for a seed — the process
-//! runs under [`c3_bench::alloc::CountingAlloc`]). Results append to the
+//! runs under [`crate::alloc::CountingAlloc`]). Results append to the
 //! `runs` array of the output JSON (default `BENCH_perf.json`), so
 //! successive invocations — and CI's per-commit artifacts — accumulate
 //! comparable points instead of overwriting each other.
 //!
-//! With `--shards n1,n2,...` the bin additionally measures a PDES-scaled
+//! With `--shards n1,n2,...` the subcommand additionally measures a PDES-scaled
 //! run per requested shard-thread count: vips on an **8-cluster** system
 //! (`shard{n}+vips8c/...`), executed by the conservative parallel kernel
 //! ([`Simulator::run_sharded`]). These entries are opt-in so the default
@@ -36,24 +36,33 @@
 //! `--floor-label TEXT` is given and the ping-pong or vips throughput
 //! drops more than 20% below the best committed same-`quick` entry
 //! under that label (the wall-clock regression floors).
-//!
-//! Usage: `cargo run --release -p c3-bench --bin perf [-- --quick]
-//! [--exchanges N] [--out PATH] [--label TEXT] [--alloc-budget FILE]
-//! [--shards n1,n2,...] [--floor-label TEXT]`
 
 use std::any::Any;
+use std::num::NonZeroUsize;
 
 use c3::system::GlobalProtocol;
-use c3_bench::alloc::{alloc_count, CountingAlloc};
-use c3_bench::runner::{self, json_escape, Experiment};
-use c3_bench::RunConfig;
-use c3_protocol::mcm::Mcm;
-use c3_protocol::states::ProtocolFamily;
 use c3_sim::prelude::*;
 use c3_workloads::WorkloadSpec;
 
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
+use crate::alloc::alloc_count;
+use crate::cli::{self, usage_error, Args, CliError, Flag, Subcommand, OUT, QUICK};
+use crate::runner::{self, json_escape, Experiment};
+
+pub(crate) const CMD: Subcommand = Subcommand {
+    name: "perf",
+    about: "Kernel-throughput microbench: events/s, allocs/event, budget and floor gates",
+    operands: "",
+    flags: &[
+        QUICK,
+        Flag::Num("--exchanges", "N", "ping-pong exchanges (2e5 quick, 2e6)"),
+        OUT,
+        Flag::Text("--label", "TEXT", "label of this run (default: local)"),
+        Flag::Text("--alloc-budget", "FILE", "allocs/event budgets to enforce"),
+        Flag::Text("--shards", "N[,N...]", "time 8-cluster vips on N shards"),
+        Flag::Text("--floor-label", "TEXT", "fail 20% below the best TEXT run"),
+    ],
+    run,
+};
 
 #[derive(Debug, Clone)]
 struct Ball(u64);
@@ -107,6 +116,22 @@ struct Measurement {
 }
 
 impl Measurement {
+    /// One console line; `kind` names the measurement.
+    fn print(&self, kind: &str) {
+        // Ping-pong, the only run without an exec time, has no config tag.
+        let config = match self.exec_ns {
+            Some(_) => format!("{} ", self.config),
+            None => String::new(),
+        };
+        println!(
+            "{kind:<9}: {config}{} events in {:.1} ms -> {:.2} M events/sec, {:.4} allocs/event",
+            self.events,
+            self.wall_ms,
+            self.events_per_sec / 1e6,
+            self.allocs_per_event
+        );
+    }
+
     fn to_json(&self, label: &str, quick: bool) -> String {
         let exec = self
             .exec_ns
@@ -172,15 +197,11 @@ fn pingpong(exchanges: u64) -> Measurement {
 
 /// Measure the real vips run (MESI-CXL-MESI, the paper's headline
 /// config). With `metrics` the sampled-telemetry hub runs at the
-/// `--bin metrics` default interval, so the gate also bounds the
+/// `c3 metrics` default interval, so the gate also bounds the
 /// steady-state sampling cost (registration allocates once; each window
 /// after that must reuse its buffers).
 fn workload(quick: bool, metrics: bool) -> Measurement {
-    let mut cfg = RunConfig::scaled(
-        (ProtocolFamily::Mesi, ProtocolFamily::Mesi),
-        GlobalProtocol::Cxl,
-        (Mcm::Weak, Mcm::Weak),
-    );
+    let mut cfg = super::mesi(GlobalProtocol::Cxl);
     if quick {
         cfg = cfg.quick();
     }
@@ -189,29 +210,12 @@ fn workload(quick: bool, metrics: bool) -> Measurement {
     }
     let spec = WorkloadSpec::by_name("vips").expect("workload");
     let exp = Experiment::new(spec, cfg);
-    let a0 = alloc_count();
-    let r = runner::run_experiment(&exp);
-    let allocs = alloc_count() - a0;
-    r.expect_completed(&exp.tag);
-    let config = if metrics {
-        format!("metrics+{}", exp.tag)
-    } else {
-        exp.tag.clone()
-    };
-    Measurement {
-        config,
-        events: r.events,
-        sim_ns: r.sim_ns,
-        exec_ns: Some(r.exec_ns),
-        wall_ms: r.wall_ms,
-        events_per_sec: r.events_per_sec,
-        allocs,
-        allocs_per_event: allocs as f64 / r.events.max(1) as f64,
-    }
+    let prefix = if metrics { "metrics+" } else { "" };
+    measure(&exp, format!("{prefix}{}", exp.tag))
 }
 
 /// Measure the OLTP/KV engine's quick cell (2¹⁴ keys, skew 0.99, two
-/// clusters, `state_metrics` on — the `--bin oltp --quick` hot cell).
+/// clusters, `state_metrics` on — the `c3 oltp --quick` hot cell).
 /// This is the region store's churn workload: every directory line
 /// promotes and demotes around each transaction, so its allocs/event
 /// budget is what keeps the promotion/demotion cycle
@@ -219,29 +223,12 @@ fn workload(quick: bool, metrics: bool) -> Measurement {
 fn workload_oltp(quick: bool) -> Measurement {
     let mut spec = WorkloadSpec::by_name("oltp-quick").expect("workload");
     spec.zipf_skew = 0.99;
-    let mut cfg = RunConfig::scaled(
-        (ProtocolFamily::Mesi, ProtocolFamily::Mesi),
-        GlobalProtocol::Cxl,
-        (Mcm::Weak, Mcm::Weak),
-    )
-    .with_clusters(2)
-    .with_state_metrics();
+    let mut cfg = super::mesi(GlobalProtocol::Cxl)
+        .with_clusters(2)
+        .with_state_metrics();
     cfg.ops_per_core = if quick { 300 } else { 3000 };
     let exp = Experiment::new(spec, cfg);
-    let a0 = alloc_count();
-    let r = runner::run_experiment(&exp);
-    let allocs = alloc_count() - a0;
-    r.expect_completed(&exp.tag);
-    Measurement {
-        config: exp.tag.clone(),
-        events: r.events,
-        sim_ns: r.sim_ns,
-        exec_ns: Some(r.exec_ns),
-        wall_ms: r.wall_ms,
-        events_per_sec: r.events_per_sec,
-        allocs,
-        allocs_per_event: allocs as f64 / r.events.max(1) as f64,
-    }
+    measure(&exp, exp.tag.clone())
 }
 
 /// Measure vips on an 8-cluster system under the conservative-PDES
@@ -250,13 +237,9 @@ fn workload_oltp(quick: bool) -> Measurement {
 /// measurement exercises real cross-domain merge traffic at every
 /// requested thread count.
 fn workload_sharded(quick: bool, shards: usize) -> Measurement {
-    let mut cfg = RunConfig::scaled(
-        (ProtocolFamily::Mesi, ProtocolFamily::Mesi),
-        GlobalProtocol::Cxl,
-        (Mcm::Weak, Mcm::Weak),
-    )
-    .with_clusters(8)
-    .with_shards(shards);
+    let mut cfg = super::mesi(GlobalProtocol::Cxl)
+        .with_clusters(8)
+        .with_shards(shards);
     if quick {
         cfg = cfg.quick();
     }
@@ -266,12 +249,17 @@ fn workload_sharded(quick: bool, shards: usize) -> Measurement {
     cfg.cores_per_cluster = 16;
     let spec = WorkloadSpec::by_name("vips").expect("workload");
     let exp = Experiment::new(spec, cfg);
+    measure(&exp, format!("shard{shards}+vips8c/{}", exp.cfg.label()))
+}
+
+/// Run one experiment cell, counting the allocations of its run alone.
+fn measure(exp: &Experiment, config: String) -> Measurement {
     let a0 = alloc_count();
-    let r = runner::run_experiment(&exp);
+    let r = runner::run_experiment(exp);
     let allocs = alloc_count() - a0;
     r.expect_completed(&exp.tag);
     Measurement {
-        config: format!("shard{shards}+vips8c/{}", exp.cfg.label()),
+        config,
         events: r.events,
         sim_ns: r.sim_ns,
         exec_ns: Some(r.exec_ns),
@@ -315,7 +303,7 @@ fn previous_runs(path: &str) -> Option<String> {
 
 /// Best committed throughput for a `config` prefix under `label` with
 /// the same `quick` flag, scanned from a previously written document's
-/// `runs` entries (one JSON object per line, as this bin writes them).
+/// `runs` entries (one JSON object per line, as this subcommand writes them).
 /// `None` when the label has no committed baseline for that config yet.
 fn best_throughput(prev: &str, label: &str, quick: bool, config_prefix: &str) -> Option<f64> {
     let config_needle = format!("\"config\": \"{config_prefix}");
@@ -343,139 +331,78 @@ fn best_throughput(prev: &str, label: &str, quick: bool, config_prefix: &str) ->
 
 /// Parse the committed budget file: `<config-prefix> <max-allocs-per-event>`
 /// per line, `#` comments allowed.
-fn parse_budget(path: &str) -> Vec<(String, f64)> {
-    let text =
-        std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read alloc budget {path}: {e}"));
+fn parse_budget(path: &str) -> Result<Vec<(String, f64)>, CliError> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| usage_error(format!("--alloc-budget {path}: {e}")))?;
     text.lines()
         .map(|l| l.trim())
         .filter(|l| !l.is_empty() && !l.starts_with('#'))
         .map(|l| {
-            let (name, limit) = l.split_once(char::is_whitespace).expect("budget line");
-            (
-                name.to_string(),
-                limit.trim().parse().expect("budget value"),
-            )
+            l.split_once(char::is_whitespace)
+                .and_then(|(name, limit)| Some((name.to_string(), limit.trim().parse().ok()?)))
+                .ok_or_else(|| usage_error(format!("--alloc-budget {path}: bad line {l:?}")))
         })
         .collect()
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let mut quick = false;
-    let mut exchanges: Option<u64> = None;
-    let mut out = "BENCH_perf.json".to_string();
-    let mut label = "local".to_string();
-    let mut budget_file: Option<String> = None;
-    let mut shard_counts: Vec<usize> = Vec::new();
-    let mut floor_label: Option<String> = None;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quick" => {
-                quick = true;
-                i += 1;
-            }
-            "--exchanges" => {
-                exchanges = Some(args[i + 1].parse().expect("exchanges"));
-                i += 2;
-            }
-            "--out" => {
-                out = args[i + 1].clone();
-                i += 2;
-            }
-            "--label" => {
-                label = args[i + 1].clone();
-                i += 2;
-            }
-            "--alloc-budget" => {
-                budget_file = Some(args[i + 1].clone());
-                i += 2;
-            }
-            "--shards" => {
-                shard_counts = args[i + 1]
-                    .split(',')
-                    .map(|s| s.trim().parse().expect("shard count"))
-                    .collect();
-                i += 2;
-            }
-            "--floor-label" => {
-                floor_label = Some(args[i + 1].clone());
-                i += 2;
-            }
-            other => panic!("unknown arg {other}"),
-        }
-    }
-    let exchanges = exchanges.unwrap_or(if quick { 200_000 } else { 2_000_000 }) | 1;
+fn run(args: &Args) -> Result<(), CliError> {
+    let quick = args.has(QUICK.name());
+    let exchanges =
+        args.num::<u64>("--exchanges")?
+            .unwrap_or(if quick { 200_000 } else { 2_000_000 })
+            | 1;
+    let out = args.text(OUT.name()).unwrap_or("BENCH_perf.json");
+    let label = args.text("--label").unwrap_or("local");
+    let budget = match args.text("--alloc-budget") {
+        Some(path) => Some((path, parse_budget(path)?)),
+        None => None,
+    };
+    let shard_counts = match args.text("--shards") {
+        Some(list) => list
+            .split(',')
+            .map(|n| n.trim().parse::<NonZeroUsize>().map(NonZeroUsize::get))
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(|_| usage_error(format!("--shards {list}: want N[,N...] with N >= 1")))?,
+        None => Vec::new(),
+    };
+    let floor_label = args.text("--floor-label");
 
     let pp = pingpong(exchanges);
-    println!(
-        "pingpong : {} events in {:.1} ms -> {:.2} M events/sec, {:.4} allocs/event",
-        pp.events,
-        pp.wall_ms,
-        pp.events_per_sec / 1e6,
-        pp.allocs_per_event
-    );
+    pp.print("pingpong");
     let wl = workload(quick, false);
-    println!(
-        "workload : {} {} events in {:.1} ms -> {:.2} M events/sec, {:.4} allocs/event",
-        wl.config,
-        wl.events,
-        wl.wall_ms,
-        wl.events_per_sec / 1e6,
-        wl.allocs_per_event
-    );
+    wl.print("workload");
     let wlm = workload(quick, true);
-    println!(
-        "metrics  : {} {} events in {:.1} ms -> {:.2} M events/sec, {:.4} allocs/event",
-        wlm.config,
-        wlm.events,
-        wlm.wall_ms,
-        wlm.events_per_sec / 1e6,
-        wlm.allocs_per_event
-    );
+    wlm.print("metrics");
     let wlo = workload_oltp(quick);
-    println!(
-        "oltp     : {} {} events in {:.1} ms -> {:.2} M events/sec, {:.4} allocs/event",
-        wlo.config,
-        wlo.events,
-        wlo.wall_ms,
-        wlo.events_per_sec / 1e6,
-        wlo.allocs_per_event
-    );
-
-    let mut shard_ms: Vec<Measurement> = Vec::new();
-    for &n in &shard_counts {
-        let m = workload_sharded(quick, n);
-        println!(
-            "shards   : {} {} events in {:.1} ms -> {:.2} M events/sec, {:.4} allocs/event",
-            m.config,
-            m.events,
-            m.wall_ms,
-            m.events_per_sec / 1e6,
-            m.allocs_per_event
-        );
-        shard_ms.push(m);
-    }
+    wlo.print("oltp");
+    let shard_ms: Vec<Measurement> = shard_counts
+        .iter()
+        .map(|&n| {
+            let m = workload_sharded(quick, n);
+            m.print("shards");
+            m
+        })
+        .collect();
 
     // Capture the committed entries before appending: the floor gate
     // below must compare against history, not against this run.
-    let prev = previous_runs(&out);
+    let prev = previous_runs(out);
     let mut entries: Vec<String> = Vec::new();
     if let Some(p) = &prev {
         entries.push(p.clone());
     }
-    entries.push(pp.to_json(&label, quick));
-    entries.push(wl.to_json(&label, quick));
-    entries.push(wlm.to_json(&label, quick));
-    entries.push(wlo.to_json(&label, quick));
+    entries.push(pp.to_json(label, quick));
+    entries.push(wl.to_json(label, quick));
+    entries.push(wlm.to_json(label, quick));
+    entries.push(wlo.to_json(label, quick));
     for m in &shard_ms {
-        entries.push(m.to_json(&label, quick));
+        entries.push(m.to_json(label, quick));
     }
     let json = format!(
         "{{\n  \"bench\": \"perf\",\n  \"schema\": 2,\n  \"runs\": [\n    {}\n  ]\n}}\n",
         entries.join(",\n    ")
     );
-    std::fs::write(&out, &json).expect("write perf json");
+    cli::write(out, &json)?;
     println!("(wrote {out})");
 
     if [&pp, &wl, &wlm, &wlo]
@@ -483,8 +410,7 @@ fn main() {
         .chain(&shard_ms)
         .any(|m| m.events_per_sec <= 0.0)
     {
-        eprintln!("perf: zero throughput measured");
-        std::process::exit(1);
+        return Err(CliError::Failed("zero throughput measured".into()));
     }
 
     if let Some(flabel) = floor_label {
@@ -494,19 +420,18 @@ fn main() {
         for (name, m, prefix) in [("pingpong", &pp, "pingpong"), ("vips", &wl, "vips/")] {
             match prev
                 .as_deref()
-                .and_then(|p| best_throughput(p, &flabel, quick, prefix))
+                .and_then(|p| best_throughput(p, flabel, quick, prefix))
             {
                 Some(base) => {
                     let floor = base * 0.8;
                     if m.events_per_sec < floor {
-                        eprintln!(
-                            "perf: {name} {:.2} M events/sec is below the floor {:.2} M \
+                        return Err(CliError::Failed(format!(
+                            "{name} {:.2} M events/sec is below the floor {:.2} M \
                              (80% of the best committed '{flabel}' entry, {:.2} M)",
                             m.events_per_sec / 1e6,
                             floor / 1e6,
                             base / 1e6
-                        );
-                        std::process::exit(1);
+                        )));
                     }
                     println!(
                         "floor   : {name} {:.2} M events/sec >= {:.2} M (80% of '{flabel}' best)",
@@ -521,16 +446,16 @@ fn main() {
         }
     }
 
-    if let Some(path) = budget_file {
+    if let Some((path, limits)) = budget {
         let mut failed = false;
-        for (prefix, limit) in parse_budget(&path) {
+        for (prefix, limit) in limits {
             let m = [&pp, &wl, &wlm, &wlo]
                 .into_iter()
                 .find(|m| m.config.starts_with(&prefix));
             match m {
                 Some(m) if m.allocs_per_event > limit => {
                     eprintln!(
-                        "perf: {} allocs/event {:.4} exceeds budget {limit} ({path})",
+                        "c3 perf: {} allocs/event {:.4} exceeds budget {limit} ({path})",
                         m.config, m.allocs_per_event
                     );
                     failed = true;
@@ -540,13 +465,14 @@ fn main() {
                     m.config, m.allocs_per_event
                 ),
                 None => {
-                    eprintln!("perf: budget entry {prefix} matches no measurement");
+                    eprintln!("c3 perf: budget entry {prefix} matches no measurement");
                     failed = true;
                 }
             }
         }
         if failed {
-            std::process::exit(1);
+            return Err(CliError::Failed("allocation budget exceeded".into()));
         }
     }
+    Ok(())
 }

@@ -13,21 +13,20 @@
 //! is found — CI runs it next to the chaos and perf-smoke jobs.
 //!
 //! ```text
-//! cargo run --release --bin protocheck
-//! cargo run --release --bin protocheck -- --json
-//! cargo run --release --bin protocheck -- --inject missing-row
+//! c3 protocheck
+//! c3 protocheck --json protocheck.json
+//! c3 protocheck --inject missing-row
 //! ```
 //!
-//! `--json` switches to a machine-readable report (defect list keyed by
-//! stable defect-class slugs plus per-table stats) so CI can diff defect
-//! sets instead of grepping text. `--inject
+//! `--json PATH` also writes a machine-readable report (defect list keyed
+//! by stable defect-class slugs plus per-table stats) so CI can diff
+//! defect sets instead of grepping text. `--inject
 //! missing-row|forbidden-state|cycle` seeds one known defect into an
 //! otherwise clean table, as a self-test that the checker actually
 //! catches each defect class.
 
 use c3::bridge::bridge_transition_table;
 use c3::generator::{baseline_fsm, bridge_fsm};
-use c3_bench::runner::json_escape;
 use c3_cxl::dcoh::dcoh_transition_table;
 use c3_memsys::l1::l1_transition_table;
 use c3_protocol::states::ProtocolFamily;
@@ -35,6 +34,20 @@ use c3_protocol::table::{TransitionRow, TransitionTable};
 use c3_verif::fsm_checks::check_fsm;
 use c3_verif::static_checks::check_all;
 use c3_verif::StaticDefect;
+
+use crate::cli::{self, usage_error, Args, CliError, Flag, Subcommand, JSON};
+use crate::runner::json_escape;
+
+pub(crate) const CMD: Subcommand = Subcommand {
+    name: "protocheck",
+    about: "Static analysis of the controllers' transition tables and compound FSMs",
+    operands: "",
+    flags: &[
+        JSON,
+        Flag::Text("--inject", "KIND", "missing-row, forbidden-state or cycle"),
+    ],
+    run,
+};
 
 const FAMILIES: [ProtocolFamily; 4] = [
     ProtocolFamily::Mesi,
@@ -103,36 +116,18 @@ struct FsmResult {
     defects: Vec<String>,
 }
 
-fn main() {
-    let mut inject = None;
-    let mut json = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--inject" => {
-                let kind = args.next().unwrap_or_default();
-                inject = Some(match kind.as_str() {
-                    "missing-row" => Inject::MissingRow,
-                    "forbidden-state" => Inject::ForbiddenState,
-                    "cycle" => Inject::Cycle,
-                    other => {
-                        eprintln!("protocheck: unknown injection {other:?}");
-                        eprintln!("  (expected missing-row, forbidden-state or cycle)");
-                        std::process::exit(2);
-                    }
-                });
-            }
-            "--json" => json = true,
-            "--help" | "-h" => {
-                println!("usage: protocheck [--json] [--inject missing-row|forbidden-state|cycle]");
-                return;
-            }
-            other => {
-                eprintln!("protocheck: unknown argument {other:?}");
-                std::process::exit(2);
-            }
+fn run(args: &Args) -> Result<(), CliError> {
+    let inject = match args.text("--inject") {
+        None => None,
+        Some("missing-row") => Some(Inject::MissingRow),
+        Some("forbidden-state") => Some(Inject::ForbiddenState),
+        Some("cycle") => Some(Inject::Cycle),
+        Some(other) => {
+            return Err(usage_error(format!(
+                "unknown injection {other:?} (expected missing-row, forbidden-state or cycle)"
+            )))
         }
-    }
+    };
 
     let mut families: Vec<FamilyResult> = Vec::new();
     for fam in FAMILIES {
@@ -187,14 +182,14 @@ fn main() {
         + fsms.iter().map(|f| f.defects.len()).sum::<usize>();
     let tables_checked: usize = families.iter().map(|f| f.tables.len()).sum();
 
-    if json {
-        print_json(&families, &fsms, total_defects);
-    } else {
-        print_text(&families, &fsms, total_defects, tables_checked, fsms.len());
+    print_text(&families, &fsms, total_defects, tables_checked, fsms.len());
+    if let Some(path) = args.text(JSON.name()) {
+        cli::write(path, &render_json(&families, &fsms, total_defects))?;
     }
     if total_defects != 0 {
-        std::process::exit(1);
+        return Err(CliError::Failed(format!("{total_defects} defect(s)")));
     }
+    Ok(())
 }
 
 fn print_text(
@@ -234,16 +229,12 @@ fn print_text(
     }
 }
 
-fn print_json(families: &[FamilyResult], fsms: &[FsmResult], total_defects: usize) {
-    let mut out = String::from("{\n  \"tables\": [\n");
-    let mut first = true;
-    for f in families {
-        for t in &f.tables {
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            out.push_str(&format!(
+fn render_json(families: &[FamilyResult], fsms: &[FsmResult], total_defects: usize) -> String {
+    let tables: Vec<String> = families
+        .iter()
+        .flat_map(|f| &f.tables)
+        .map(|t| {
+            format!(
                 "    {{\"family\": \"{}\", \"controller\": \"{}\", \
                  \"states\": {}, \"events\": {}, \"rows\": {}}}",
                 json_escape(&t.family),
@@ -251,42 +242,31 @@ fn print_json(families: &[FamilyResult], fsms: &[FsmResult], total_defects: usiz
                 t.states,
                 t.events,
                 t.rows
-            ));
-        }
-    }
-    out.push_str("\n  ],\n  \"defects\": [\n");
-    first = true;
-    for f in families {
-        for d in &f.defects {
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            out.push_str(&format!(
-                "    {{\"family\": \"{}\", \"kind\": \"{}\", \"detail\": \"{}\"}}",
-                json_escape(&f.family),
-                d.kind(),
-                json_escape(d.detail())
-            ));
-        }
-    }
-    for f in fsms {
-        for d in &f.defects {
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            out.push_str(&format!(
-                "    {{\"family\": \"{}\", \"kind\": \"fsm\", \"detail\": \"{}\"}}",
-                json_escape(&f.name),
-                json_escape(d)
-            ));
-        }
-    }
-    out.push_str(&format!(
-        "\n  ],\n  \"fsms_checked\": {},\n  \"total_defects\": {}\n}}\n",
+            )
+        })
+        .collect();
+    let defect = |family: &str, kind: &str, detail: &str| {
+        format!(
+            "    {{\"family\": \"{}\", \"kind\": \"{kind}\", \"detail\": \"{}\"}}",
+            json_escape(family),
+            json_escape(detail)
+        )
+    };
+    let table_defects = families.iter().flat_map(|f| {
+        f.defects
+            .iter()
+            .map(|d| defect(&f.family, d.kind(), d.detail()))
+    });
+    let fsm_defects = fsms
+        .iter()
+        .flat_map(|f| f.defects.iter().map(|d| defect(&f.name, "fsm", d)));
+    let defects: Vec<String> = table_defects.chain(fsm_defects).collect();
+    format!(
+        "{{\n  \"tables\": [\n{}\n  ],\n  \"defects\": [\n{}\n  ],\n  \
+         \"fsms_checked\": {},\n  \"total_defects\": {}\n}}\n",
+        tables.join(",\n"),
+        defects.join(",\n"),
         fsms.len(),
         total_defects
-    ));
-    print!("{out}");
+    )
 }

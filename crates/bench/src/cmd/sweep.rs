@@ -11,41 +11,31 @@
 //!
 //! All 12 grid cells (6 latencies × 2 globals) run in parallel on the
 //! shared runner; the table is identical for any thread count.
-//!
-//! Usage: `cargo run --release -p c3-bench --bin sweep
-//! [-- --workload W] [--threads N] [--json PATH]`
 
 use c3::system::GlobalProtocol;
-use c3_bench::runner::{self, Experiment};
-use c3_bench::RunConfig;
-use c3_protocol::mcm::Mcm;
 use c3_protocol::states::ProtocolFamily;
-use c3_workloads::WorkloadSpec;
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let mut wname = "histogram".to_string();
-    let mut threads = runner::default_threads();
-    let mut json: Option<String> = None;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--workload" => {
-                wname = args[i + 1].clone();
-                i += 2;
-            }
-            "--threads" => {
-                threads = args[i + 1].parse().expect("threads");
-                i += 2;
-            }
-            "--json" => {
-                json = Some(args[i + 1].clone());
-                i += 2;
-            }
-            other => panic!("unknown arg {other}"),
-        }
-    }
-    let spec = WorkloadSpec::by_name(&wname).expect("workload");
+use crate::cli::{self, Args, CliError, Flag, Subcommand, JSON, SHARDS, THREADS};
+use crate::runner::{self, Experiment};
+
+pub(crate) const CMD: Subcommand = Subcommand {
+    name: "sweep",
+    about: "Link-latency sensitivity of the CXL-vs-baseline gap",
+    operands: "",
+    flags: &[
+        Flag::Text("--workload", "W", "workload to sweep (default: histogram)"),
+        THREADS,
+        JSON,
+        SHARDS,
+    ],
+    run,
+};
+
+fn run(args: &Args) -> Result<(), CliError> {
+    let wname = args.text("--workload").unwrap_or("histogram");
+    let spec = cli::workload(wname)?;
+    let threads = args.threads()?;
+    let shards = args.shards()?;
 
     let link_points: [u64; 6] = [5, 15, 35, 70, 140, 280];
     let mut grid = Vec::new();
@@ -54,13 +44,9 @@ fn main() {
             GlobalProtocol::Hierarchical(ProtocolFamily::Mesi),
             GlobalProtocol::Cxl,
         ] {
-            let mut cfg = RunConfig::scaled(
-                (ProtocolFamily::Mesi, ProtocolFamily::Mesi),
-                global,
-                (Mcm::Weak, Mcm::Weak),
-            )
-            .link_ns(link_ns);
+            let mut cfg = super::mesi(global).link_ns(link_ns);
             cfg.ops_per_core = 1000;
+            cfg.shards = shards;
             grid.push(Experiment::new(spec, cfg).tagged(format!("link{link_ns}/{}", cfg.label())));
         }
     }
@@ -86,8 +72,9 @@ fn main() {
         );
     }
     println!("\n(70 ns is the paper's Table III operating point)");
-    if let Some(path) = json {
-        std::fs::write(&path, runner::grid_json(&grid, &results, true)).expect("write json");
+    if let Some(path) = args.text(JSON.name()) {
+        cli::write(path, &runner::grid_json(&grid, &results, true))?;
         println!("(wrote {path})");
     }
+    Ok(())
 }

@@ -1,10 +1,18 @@
 //! Table I: the CXL.mem coherence messages and their MESI equivalents.
-//!
-//! Usage: `cargo run -p c3-bench --bin table1`
 
 use c3_protocol::msg::{direction, mesi_equivalent, CxlOpcode};
 
-fn main() {
+use crate::cli::{Args, CliError, Subcommand};
+
+pub(crate) const CMD: Subcommand = Subcommand {
+    name: "table1",
+    about: "Table I: CXL.mem coherence messages and their MESI equivalents",
+    operands: "",
+    flags: &[],
+    run,
+};
+
+fn run(_: &Args) -> Result<(), CliError> {
     println!("Table I: CXL.mem coherence messages and MESI equivalents");
     println!(
         "{:<12} {:<5} {:<10} Description",
@@ -50,4 +58,5 @@ fn main() {
             mesi_equivalent(op)
         );
     }
+    Ok(())
 }

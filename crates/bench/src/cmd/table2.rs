@@ -1,19 +1,31 @@
 //! Table II: the generated C³ translation table (host = MOESI by default,
 //! matching the paper's fragment; pass a family name for others).
-//!
-//! Usage: `cargo run -p c3-bench --bin table2 [-- MESI|MESIF|MOESI|RCC]`
 
 use c3::generator::bridge_fsm;
 use c3_protocol::states::ProtocolFamily;
 
-fn main() {
-    let arg = std::env::args().nth(1).unwrap_or_else(|| "MOESI".into());
+use crate::cli::{usage_error, Args, CliError, Subcommand};
+
+pub(crate) const CMD: Subcommand = Subcommand {
+    name: "table2",
+    about: "Table II: the generated C3 translation table (host family, default MOESI)",
+    operands: "[MESI|MESIF|MOESI|RCC]",
+    flags: &[],
+    run,
+};
+
+fn run(args: &Args) -> Result<(), CliError> {
+    let arg = match args.operands() {
+        [] => "MOESI",
+        [family] => family.as_str(),
+        [_, extra, ..] => return Err(usage_error(format!("unexpected argument {extra:?}"))),
+    };
     let family = match arg.to_uppercase().as_str() {
         "MESI" => ProtocolFamily::Mesi,
         "MESIF" => ProtocolFamily::Mesif,
         "MOESI" => ProtocolFamily::Moesi,
         "RCC" => ProtocolFamily::Rcc,
-        other => panic!("unknown family {other}"),
+        _ => return Err(usage_error(format!("unknown family {arg:?}"))),
     };
     let fsm = bridge_fsm(family);
     println!("{}", fsm.dump_table());
@@ -22,4 +34,5 @@ fn main() {
         fsm.states.len(),
         fsm.rows.len()
     );
+    Ok(())
 }

@@ -11,35 +11,36 @@
 //! every cell is an independent seeded campaign, so the table is
 //! identical for any thread count.
 //!
-//! Usage: `cargo run --release -p c3-bench --bin table4 [-- --runs N]
-//! [--threads N]`
-//! (the paper uses 100 000 runs per cell; the default here is 400)
+//! The paper uses 100 000 randomized runs per cell; the default here
+//! is 400.
+
+use std::num::NonZeroUsize;
 
 use c3::system::GlobalProtocol;
-use c3_bench::runner;
 use c3_mcm::harness::{reference_allowed, run_litmus, LitmusConfig};
 use c3_mcm::litmus::LitmusTest;
 use c3_protocol::mcm::Mcm;
 use c3_protocol::states::ProtocolFamily;
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let mut runs = 400usize;
-    let mut threads = runner::default_threads();
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--runs" => {
-                runs = args[i + 1].parse().expect("runs");
-                i += 2;
-            }
-            "--threads" => {
-                threads = args[i + 1].parse().expect("threads");
-                i += 2;
-            }
-            other => panic!("unknown arg {other}"),
-        }
-    }
+use crate::cli::{Args, CliError, Flag, Subcommand, THREADS};
+use crate::runner;
+
+pub(crate) const CMD: Subcommand = Subcommand {
+    name: "table4",
+    about: "Table IV: litmus results for every protocol and MCM combination",
+    operands: "",
+    flags: &[
+        Flag::Num("--runs", "N", "randomized runs per cell (default: 400)"),
+        THREADS,
+    ],
+    run,
+};
+
+fn run(args: &Args) -> Result<(), CliError> {
+    let runs = args
+        .num::<NonZeroUsize>("--runs")?
+        .map_or(400, NonZeroUsize::get);
+    let threads = args.threads()?;
     let protocol_combos = [
         (
             "MESI-CXL-MESI",
@@ -141,8 +142,9 @@ fn main() {
 
     if all_passed && controls_ok && tso_mp_safe {
         println!("\nAll litmus campaigns PASSED.");
+        Ok(())
     } else {
         println!("\nSOME LITMUS CAMPAIGNS FAILED!");
-        std::process::exit(1);
+        Err(CliError::Failed("litmus campaigns failed".into()))
     }
 }

@@ -1,16 +1,23 @@
 //! Formal verification driver (§VI-A): exhaustive model checking of the
 //! C³ design plus static checks on every generated compound FSM.
-//!
-//! Usage: `cargo run --release -p c3-bench --bin verify [-- --big]`
-//! (`--big` also explores the two-cores-per-cluster model)
 
 use c3::generator::{baseline_fsm, bridge_fsm};
 use c3_protocol::states::ProtocolFamily;
 use c3_verif::fsm_checks::check_fsm;
 use c3_verif::model::{check, ModelConfig};
 
-fn main() {
-    let big = std::env::args().any(|a| a == "--big");
+use crate::cli::{Args, CliError, Flag, Subcommand};
+
+pub(crate) const CMD: Subcommand = Subcommand {
+    name: "verify",
+    about: "Section VI-A: static FSM checks plus the Rule-I/II model-checking ablations",
+    operands: "",
+    flags: &[Flag::Switch("--big", "also explore two cores per cluster")],
+    run,
+};
+
+fn run(args: &Args) -> Result<(), CliError> {
+    let big = args.has("--big");
 
     println!("== Static checks on generated compound FSMs ==");
     let mut ok = true;
@@ -99,8 +106,9 @@ fn main() {
 
     if ok {
         println!("\nAll verification checks PASSED.");
+        Ok(())
     } else {
         println!("\nVERIFICATION FAILURES!");
-        std::process::exit(1);
+        Err(CliError::Failed("verification failed".into()))
     }
 }

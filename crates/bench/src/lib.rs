@@ -1,8 +1,9 @@
 //! # c3-bench — the evaluation harness
 //!
-//! Regenerates every table and figure of the paper's evaluation (§VI).
-//! Binaries: `table1`, `table2`, `table4`, `fig9`, `fig10`, `fig11`,
-//! `verify`, `ablation`. Criterion benches run scaled-down versions.
+//! Regenerates every table and figure of the paper's evaluation (§VI)
+//! through one binary, `c3 <subcommand>` ([`cli`]): `table1`, `table2`,
+//! `table4`, `fig9`, `fig10`, `fig11`, `verify`, `ablation` and the
+//! tools around them. The benches run scaled-down versions.
 //!
 //! The scaled system: 4 cores per cluster (8 total — the paper uses 8–30,
 //! calibrated per workload), small L1s matching the scaled footprints
@@ -13,6 +14,8 @@
 #![warn(missing_docs)]
 
 pub mod alloc;
+pub mod cli;
+mod cmd;
 pub mod runner;
 
 use c3::system::{ClusterSpec, GlobalProtocol, SystemBuilder};
@@ -47,7 +50,7 @@ pub struct RunConfig {
     /// Ablation: force an ordered device→host channel.
     pub ordered_s2m: bool,
     /// Cross-cluster CXL link latency (Table III default: 70 ns). The
-    /// `sweep` binary varies this; everything else keeps the default.
+    /// `c3 sweep` subcommand varies this; everything else keeps the default.
     pub link_latency: Delay,
     /// Sampled-telemetry interval (simulated time); `None` (the default)
     /// disables telemetry, keeping runs byte-identical to pre-telemetry
@@ -61,9 +64,8 @@ pub struct RunConfig {
     pub clusters: usize,
     /// Run the kernel as a conservative parallel PDES on this many
     /// worker threads ([`c3_sim::kernel::Simulator::run_sharded`]);
-    /// `None` (the default) uses the sequential kernel. The
-    /// `C3_SIM_SHARDS` environment variable provides a process-wide
-    /// fallback when unset. Reports are byte-identical for any value.
+    /// `None` (the default) uses the sequential kernel. Reports are
+    /// byte-identical for any `Some(n)`.
     pub shards: Option<usize>,
     /// Opt in to coherence-state footprint observability (resident-line /
     /// resident-region gauges, peak-state-bytes report lines) on the L1s
@@ -137,17 +139,6 @@ impl RunConfig {
         self
     }
 
-    /// The effective shard-thread count: the explicit [`RunConfig::shards`]
-    /// setting, else the `C3_SIM_SHARDS` environment variable, else
-    /// `None` (sequential kernel).
-    pub fn effective_shards(&self) -> Option<usize> {
-        self.shards.or_else(|| {
-            std::env::var("C3_SIM_SHARDS")
-                .ok()
-                .and_then(|v| v.parse().ok())
-        })
-    }
-
     /// The paper's protocol-combination label (e.g. "MESI-CXL-MOESI").
     pub fn label(&self) -> String {
         let g = match self.global {
@@ -176,7 +167,7 @@ pub struct RunResult {
 }
 
 /// Build the simulated system for one workload/configuration pair
-/// without running it — used by the `trace` binary to enable tracing
+/// without running it — used by `c3 trace` to enable tracing
 /// before the first event, and by [`run_workload_with`].
 ///
 /// The returned simulator has the standard 400 M event limit set.
@@ -275,7 +266,7 @@ pub fn run_workload_with<T>(
     inspect: impl FnOnce(&c3_sim::kernel::Simulator<SysMsg>, &c3::system::SystemHandles) -> T,
 ) -> (RunResult, T) {
     let (mut sim, handles) = build_sim(spec, cfg);
-    let outcome = match cfg.effective_shards() {
+    let outcome = match cfg.shards {
         Some(n) => sim.run_sharded(n),
         None => sim.run(),
     };
@@ -353,14 +344,6 @@ pub fn miss_breakdown(report: &Report) -> Vec<(String, f64)> {
         }
     }
     rows
-}
-
-/// Convenience re-export of the simulated-message type for bin targets.
-pub type SystemMsg = SysMsg;
-
-/// The Table III defaults re-exported for documentation binaries.
-pub fn table3_link_latency() -> Delay {
-    Delay::from_ns(70)
 }
 
 #[cfg(test)]

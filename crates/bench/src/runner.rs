@@ -26,21 +26,6 @@ use c3_workloads::WorkloadSpec;
 
 use crate::{build_sim, exec_times, RunConfig};
 
-/// Worker-thread count: `C3_BENCH_THREADS` if set (≥ 1), otherwise the
-/// machine's available parallelism.
-pub fn default_threads() -> usize {
-    if let Ok(v) = std::env::var("C3_BENCH_THREADS") {
-        if let Ok(n) = v.parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
 /// Run `f` over every job on a scoped worker pool of `threads` threads,
 /// returning results in job order (index `i` of the output is `f(i,
 /// &jobs[i])`), independent of scheduling. Jobs are pulled from a shared
@@ -171,7 +156,7 @@ impl ExperimentResult {
 pub fn run_experiment(exp: &Experiment) -> ExperimentResult {
     let (mut sim, handles) = build_sim(&exp.workload, &exp.cfg);
     let t0 = Instant::now();
-    let outcome = match exp.cfg.effective_shards() {
+    let outcome = match exp.cfg.shards {
         Some(n) => sim.run_sharded(n),
         None => sim.run(),
     };

@@ -43,7 +43,7 @@ fn timeseries(cfg: &RunConfig) -> (String, usize, Vec<String>) {
     (hub.to_csv(), hub.windows(), hub.metric_names().to_vec())
 }
 
-/// The acceptance run: quick vips at the `--bin metrics` default
+/// The acceptance run: quick vips at the `c3 metrics` default
 /// interval must produce at least 50 windows whose series cover link
 /// depth, MSHR and directory occupancy, and retry counters — and two
 /// same-seed runs must emit byte-identical CSV.

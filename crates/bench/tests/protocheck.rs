@@ -1,11 +1,12 @@
-//! End-to-end checks for the `protocheck` static-analysis CLI: the
+//! End-to-end checks for the `c3 protocheck` static-analysis CLI: the
 //! shipped tables must pass cleanly, and each seeded defect class must
 //! make it exit nonzero while naming the offending row.
 
 use std::process::Command;
 
 fn run(args: &[&str]) -> (bool, String) {
-    let out = Command::new(env!("CARGO_BIN_EXE_protocheck"))
+    let out = Command::new(env!("CARGO_BIN_EXE_c3"))
+        .arg("protocheck")
         .args(args)
         .output()
         .expect("run protocheck");

@@ -3,7 +3,7 @@
 //!
 //! * N-thread output is byte-identical to 1-thread output on the same
 //!   grid (determinism under parallelism);
-//! * the `perf` microbench completes in `--quick` mode and reports
+//! * the `c3 perf` microbench completes in `--quick` mode and reports
 //!   nonzero events/sec;
 //! * same-seed runs render byte-identical `report_dump`-style reports,
 //!   pinned by fingerprint so fabric/kernel hot-path changes that shift
@@ -68,7 +68,7 @@ fn parallel_results_match_sequential_results() {
     }
 }
 
-/// `--bin perf --quick` must complete, report nonzero events/sec under
+/// `c3 perf --quick` must complete, report nonzero events/sec under
 /// the committed alloc budget, and *append* to an existing trajectory
 /// file rather than overwrite it.
 #[test]
@@ -77,10 +77,10 @@ fn perf_quick_smoke() {
     let _ = std::fs::remove_file(&out);
     let budget = concat!(env!("CARGO_MANIFEST_DIR"), "/alloc_budget.txt");
     let run = |label: &str| {
-        let output = std::process::Command::new(env!("CARGO_BIN_EXE_perf"))
+        let output = std::process::Command::new(env!("CARGO_BIN_EXE_c3"))
             // Default --quick exchange count: the alloc budget amortizes
             // one-off setup allocations over it, so don't shrink it here.
-            .args(["--quick", "--label", label])
+            .args(["perf", "--quick", "--label", label])
             .args(["--alloc-budget", budget])
             .arg("--out")
             .arg(&out)
@@ -100,7 +100,7 @@ fn perf_quick_smoke() {
     // Schema v2: a `runs` array accumulating both invocations, each with
     // a ping-pong, a workload, a metrics-enabled workload, and an OLTP
     // region-store measurement carrying throughput and allocs/event. The
-    // bin itself exits nonzero on zero throughput or a blown alloc
+    // subcommand itself exits nonzero on zero throughput or a blown alloc
     // budget, so reaching here already covers the gates — plus a direct
     // parse of every events_per_sec.
     assert!(json.contains("\"runs\": ["), "missing runs array in {json}");
@@ -165,7 +165,7 @@ fn sharded_run_byte_identical_for_1_2_8_shards() {
     }
 }
 
-/// Render a report the way `--bin report_dump` does.
+/// Render a report the way `c3 report_dump` does.
 fn render(spec: &WorkloadSpec, cfg: &RunConfig) -> String {
     let r = run_workload(spec, cfg);
     let mut lines: Vec<String> = r.report.iter().map(|(k, v)| format!("{k}={v}")).collect();

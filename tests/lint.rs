@@ -20,6 +20,11 @@
 //! NOT get a wall-clock exemption, and nobody may size a worker pool
 //! from the host (`available_parallelism`) — shard counts are explicit
 //! arguments so results are reproducible across machines.
+//!
+//! A second scan keeps the docs and CI honest about the command line:
+//! every `c3 <subcommand>` they show must be in the subcommand table the
+//! `c3-bench` library exports, and none may name a `--bin` other than
+//! `c3`.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -152,6 +157,85 @@ fn simulator_crates_are_deterministic() {
         violations.is_empty(),
         "determinism lint found {} violation(s):\n{}",
         violations.len(),
+        violations.join("\n")
+    );
+}
+
+/// Files that show `c3` invocations, besides the `c3-bench` sources.
+const CLI_DOCS: [&str; 5] = [
+    "README.md",
+    "EXPERIMENTS.md",
+    "DESIGN.md",
+    ".claude/skills/verify/SKILL.md",
+    ".github/workflows/ci.yml",
+];
+
+/// The subcommand named right after each `c3 ` that starts an
+/// invocation: `--bin c3 -- X`, `` `c3 X``, or a line (doc comment
+/// markers aside) beginning `c3 X`. Placeholders and flags
+/// (`c3 <subcommand>`, `c3 --help`) name none.
+fn named_subcommands(line: &str) -> Vec<String> {
+    let mut starts: Vec<&str> = Vec::new();
+    for marker in ["--bin c3 -- ", "`c3 "] {
+        starts.extend(
+            line.match_indices(marker)
+                .map(|(i, m)| &line[i + m.len()..]),
+        );
+    }
+    let bare = line
+        .trim_start()
+        .trim_start_matches(['/', '!'])
+        .trim_start();
+    if let Some(rest) = bare.strip_prefix("c3 ") {
+        starts.push(rest);
+    }
+    starts
+        .into_iter()
+        .map(|rest| {
+            rest.chars()
+                .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
+                .collect::<String>()
+        })
+        .filter(|word| !word.is_empty())
+        .collect()
+}
+
+#[test]
+fn documented_c3_invocations_name_real_subcommands() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let names: Vec<&str> = c3_bench::cli::SUBCOMMANDS.iter().map(|s| s.name).collect();
+    let mut files: Vec<PathBuf> = CLI_DOCS.iter().map(|f| root.join(f)).collect();
+    rust_files(&root.join("crates/bench/src"), &mut files);
+
+    let mut violations = Vec::new();
+    let mut checked = 0;
+    for path in &files {
+        let rel = path.strip_prefix(root).unwrap().to_string_lossy();
+        let src = fs::read_to_string(path).unwrap_or_else(|e| panic!("read {path:?}: {e}"));
+        for (ln, line) in src.lines().enumerate() {
+            for (i, _) in line.match_indices("--bin ") {
+                let bin = line[i + 6..].split_whitespace().next().unwrap_or("");
+                if bin != "c3" {
+                    violations.push(format!(
+                        "{rel}:{}: --bin {bin} — the only binary is c3",
+                        ln + 1
+                    ));
+                }
+            }
+            for sub in named_subcommands(line) {
+                checked += 1;
+                if !names.contains(&sub.as_str()) {
+                    violations.push(format!("{rel}:{}: `c3 {sub}` is not a subcommand", ln + 1));
+                }
+            }
+        }
+    }
+    assert!(checked > 40, "only {checked} c3 invocations found");
+    assert!(
+        violations.is_empty(),
+        "docs name {} unknown c3 invocation(s) (subcommands: {}):\n{}",
+        violations.len(),
+        names.join(" "),
         violations.join("\n")
     );
 }
