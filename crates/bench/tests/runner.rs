@@ -207,3 +207,56 @@ fn report_dump_byte_identity() {
          intentional, re-pin this constant\nreport:\n{a}"
     );
 }
+
+/// Pin the timing-core paths the Weak/MESI benchmark cells never take:
+/// TSO store buffers, load squashes and forwarding; a TSO cluster beside
+/// a weak one; and an RCC cluster whose cores hand fences to the L1. The
+/// runs are long enough to cross the workloads' release/acquire sync
+/// points, so annotated accesses reach the issue logic too.
+fn pinned_cell(
+    workload: &str,
+    protocols: (ProtocolFamily, ProtocolFamily),
+    mcms: (Mcm, Mcm),
+    fingerprint: u64,
+) {
+    let spec = WorkloadSpec::by_name(workload).expect("workload");
+    let mut cfg = RunConfig::scaled(protocols, GlobalProtocol::Cxl, mcms).quick();
+    cfg.ops_per_core = 1100;
+    let a = render(&spec, &cfg);
+    assert_eq!(
+        fnv1a(&a),
+        fingerprint,
+        "pinned {workload} {protocols:?} {mcms:?} report fingerprint changed — \
+         if the behaviour change is intentional, re-pin this constant\nreport:\n{a}"
+    );
+}
+
+#[test]
+fn report_pin_barnes_tso() {
+    pinned_cell(
+        "barnes",
+        (ProtocolFamily::Mesi, ProtocolFamily::Moesi),
+        (Mcm::Tso, Mcm::Tso),
+        16_883_183_108_736_829_579u64,
+    );
+}
+
+#[test]
+fn report_pin_mixed_tso_weak() {
+    pinned_cell(
+        "lu-ncont",
+        (ProtocolFamily::Mesi, ProtocolFamily::Mesi),
+        (Mcm::Tso, Mcm::Weak),
+        1_523_902_908_762_915_356u64,
+    );
+}
+
+#[test]
+fn report_pin_rcc_cluster() {
+    pinned_cell(
+        "barnes",
+        (ProtocolFamily::Rcc, ProtocolFamily::Mesi),
+        (Mcm::Weak, Mcm::Tso),
+        17_029_215_732_659_680_157u64,
+    );
+}

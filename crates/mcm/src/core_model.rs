@@ -9,11 +9,15 @@
 //! operation that [`c3_protocol::mcm::must_order`] orders before it has
 //! completed. TSO therefore drains stores in order (the store-buffer
 //! effect) while the weak model overlaps them.
+//!
+//! The issue logic evaluates that rule in one forward pass per round:
+//! an [`OrderSummary`] of the incomplete instructions seen so far answers
+//! each candidate in O(1), so a round costs O(window), not a rescan of
+//! the window per candidate pair.
 
-use c3_sim::hash::FxHashMap;
 use std::any::Any;
 
-use c3_protocol::mcm::{must_order, Mcm};
+use c3_protocol::mcm::{Mcm, OrderSummary};
 use c3_protocol::msg::{CoreReq, CoreResp, SysMsg};
 use c3_protocol::ops::{Instr, Reg, ThreadProgram};
 use c3_protocol::states::ProtocolFamily;
@@ -85,8 +89,14 @@ pub struct TimingCore {
     cfg: CoreConfig,
     program: ThreadProgram,
     state: Vec<OpState>,
+    /// Retirement pointer: every instruction before it is `Done`, and
+    /// after each handler it is the first one that is not (squashes only
+    /// revert instructions behind it), so `oldest == n` means finished.
     oldest: usize,
-    inflight: FxHashMap<u64, usize>,
+    /// Instructions issued to the L1 or into `Work` and not yet complete.
+    inflight: usize,
+    /// The issue pass's ordering summary, kept to reuse its buffer.
+    summary: OrderSummary,
     /// TSO store buffer: retired-but-undrained stores (instruction
     /// indices), drained to the L1 strictly in order. This is what makes
     /// TSO's store→load reordering *and* its realistic performance: the
@@ -95,10 +105,8 @@ pub struct TimingCore {
     drain_inflight: bool,
     regs: [u64; 32],
     rng: SimRng,
-    started: bool,
     finished_at: Option<Time>,
     retired: u64,
-    stalled_issue_checks: u64,
     squashes: u64,
 }
 
@@ -120,15 +128,14 @@ impl TimingCore {
             program,
             state: vec![OpState::Waiting; n],
             oldest: 0,
-            inflight: FxHashMap::default(),
+            inflight: 0,
+            summary: OrderSummary::with_capacity(ROB_LOOKAHEAD),
             store_buffer: std::collections::VecDeque::new(),
             drain_inflight: false,
             regs: [0; 32],
             rng: SimRng::seed_from(seed),
-            started: false,
             finished_at: None,
             retired: 0,
-            stalled_issue_checks: 0,
             squashes: 0,
         }
     }
@@ -143,11 +150,9 @@ impl TimingCore {
         self.finished_at
     }
 
-    /// Whether instruction `j` may perform now: every earlier incomplete
-    /// instruction that must be ordered before it has completed, and
-    /// `Work` instructions act as issue barriers. Only instructions from
-    /// the oldest incomplete one onward need checking.
-    fn may_issue(&self, j: usize) -> bool {
+    /// Whether waiting instruction `j` may perform now, given the summary
+    /// of the incomplete instructions between `oldest` and `j`.
+    fn may_issue(&self, summary: &OrderSummary, j: usize) -> bool {
         let instr = &self.program.instrs[j];
         // TSO loads *issue* speculatively out of order (gem5's O3 does the
         // same): the architectural load-load order is enforced by
@@ -160,32 +165,24 @@ impl TimingCore {
         } else {
             self.cfg.mcm
         };
-        for i in self.oldest..j {
-            if self.state[i] == OpState::Done {
-                continue;
-            }
-            let earlier = &self.program.instrs[i];
-            match earlier {
-                // Work models non-overlappable front-end compute.
-                Instr::Work(_) => return false,
-                // Fences gate per their ordering rules — handled through
-                // must_order's `between` inspection below; an incomplete
-                // *RCC* fence (which must reach the L1) blocks everything.
-                Instr::Fence(_) if self.cfg.family == ProtocolFamily::Rcc => {
-                    return false;
-                }
-                _ => {}
-            }
-            if must_order(
-                effective_mcm,
-                earlier,
-                &self.program.instrs[i + 1..j],
-                instr,
-            ) {
-                return false;
+        !summary.orders(effective_mcm, instr)
+    }
+
+    /// Fold instruction `j`, in its current state, into `summary`.
+    /// Returns `false` when nothing behind `j` may issue: an incomplete
+    /// `Work` (non-overlappable front-end compute) or an incomplete RCC
+    /// fence (which must reach the L1) blocks everything younger.
+    fn fold(&self, summary: &mut OrderSummary, j: usize) -> bool {
+        let instr = &self.program.instrs[j];
+        let complete = self.state[j] == OpState::Done;
+        match instr {
+            Instr::Work(_) if !complete => false,
+            Instr::Fence(_) if !complete && self.cfg.family == ProtocolFamily::Rcc => false,
+            _ => {
+                summary.push(instr, complete);
+                true
             }
         }
-        true
     }
 
     /// A line was invalidated/lost: squash speculatively completed TSO
@@ -217,114 +214,116 @@ impl TimingCore {
     }
 
     fn try_issue(&mut self, ctx: &mut Ctx<'_, SysMsg>) {
-        let n = self.program.len();
-        loop {
-            let mut issued_any = false;
-            // Advance past the completed prefix (retirement pointer).
-            while self.oldest < n && self.state[self.oldest] == OpState::Done {
-                self.oldest += 1;
-            }
-            // Consider only the reorder-buffer window of instructions.
-            let horizon = (self.oldest + ROB_LOOKAHEAD).min(n);
-            for j in self.oldest..horizon {
-                if self.state[j] != OpState::Waiting {
-                    continue;
-                }
-                if self.inflight.len() >= self.cfg.window {
-                    break;
-                }
-                if !self.may_issue(j) {
-                    self.stalled_issue_checks += 1;
-                    continue;
-                }
-                let instr = self.program.instrs[j];
-                let tso = self.cfg.mcm == Mcm::Tso;
-                match instr {
-                    Instr::Work(cycles) => {
-                        self.state[j] = OpState::Issued;
-                        self.inflight.insert(j as u64, j);
-                        ctx.wake_after(Delay::from_cycles(cycles as u64, 2_000), j as u64);
-                    }
-                    Instr::Fence(_) if self.cfg.family != ProtocolFamily::Rcc => {
-                        // TSO full fences drain the store buffer first.
-                        if tso && (!self.store_buffer.is_empty() || self.drain_inflight) {
-                            continue;
-                        }
-                        // Pure ordering: completes as soon as it may issue.
-                        self.state[j] = OpState::Done;
-                        self.retired += 1;
-                        issued_any = true;
-                        continue;
-                    }
-                    Instr::Store { addr, .. } if tso => {
-                        // Retire into the store buffer; the drain makes the
-                        // store visible in order, off the critical path.
-                        if self.store_buffer.len() >= STORE_BUFFER_CAP {
-                            continue; // buffer full: stall this store
-                        }
-                        self.state[j] = OpState::Done;
-                        self.retired += 1;
-                        self.store_buffer.push_back(j);
-                        // RFO prefetch: overlap the miss latency so the
-                        // in-order drain usually hits (x86 store buffers
-                        // issue ownership requests for all entries). The
-                        // issue time varies — RFOs fire when buffer slots
-                        // are scheduled, not instantaneously — which also
-                        // lets younger loads overtake the store (the
-                        // store-buffering behaviour of SB litmus tests).
-                        let rfo_jitter = self.rng.below(24);
-                        ctx.send_direct(
-                            self.l1,
-                            SysMsg::CoreReq(CoreReq {
-                                tag: PREFETCH_TAG | j as u64,
-                                instr: Instr::Prefetch { addr },
-                            }),
-                            Delay::from_cycles(1 + rfo_jitter, 2_000),
-                        );
-                        self.pump_drain(ctx);
-                        issued_any = true;
-                        continue;
-                    }
-                    Instr::Load { addr, reg, .. } if tso => {
-                        // Store-to-load forwarding from the buffer.
-                        if let Some(val) = self.forward_from_buffer(addr, j) {
-                            self.state[j] = OpState::Done;
-                            self.retired += 1;
-                            self.regs[reg.0 as usize] = val;
-                            issued_any = true;
-                            continue;
-                        }
-                        self.issue_to_l1(j, instr, ctx);
-                    }
-                    Instr::Rmw { .. } if tso => {
-                        // Atomics serialize with the store buffer.
-                        if !self.store_buffer.is_empty() || self.drain_inflight {
-                            continue;
-                        }
-                        self.issue_to_l1(j, instr, ctx);
-                    }
-                    _ => {
-                        self.issue_to_l1(j, instr, ctx);
-                    }
-                }
-                issued_any = true;
-            }
-            if !issued_any {
-                break;
-            }
-        }
-        if self.finished_at.is_none()
-            && self.store_buffer.is_empty()
-            && !self.drain_inflight
-            && self.state.iter().all(|s| *s == OpState::Done)
-        {
+        while self.issue_round(|core, j| core.issue(j, ctx)) {}
+        if self.finished_at.is_none() && self.done() {
             self.finished_at = Some(ctx.now);
         }
     }
 
+    /// One issue round: advance `oldest` past the completed prefix, then
+    /// a single forward pass over the reorder window that offers each
+    /// waiting instruction the summary admits to `issue` and folds every
+    /// instruction, in its post-decision state, into the summary for the
+    /// ones behind it. Returns whether any `issue` call changed state.
+    fn issue_round(&mut self, mut issue: impl FnMut(&mut Self, usize) -> bool) -> bool {
+        let n = self.program.len();
+        while self.oldest < n && self.state[self.oldest] == OpState::Done {
+            self.oldest += 1;
+        }
+        // Consider only the reorder-buffer window of instructions.
+        let horizon = (self.oldest + ROB_LOOKAHEAD).min(n);
+        let mut summary = std::mem::take(&mut self.summary);
+        summary.clear();
+        let mut changed = false;
+        for j in self.oldest..horizon {
+            if self.state[j] == OpState::Waiting {
+                if self.inflight >= self.cfg.window {
+                    break;
+                }
+                if self.may_issue(&summary, j) {
+                    changed |= issue(self, j);
+                }
+            }
+            if !self.fold(&mut summary, j) {
+                break;
+            }
+        }
+        self.summary = summary;
+        changed
+    }
+
+    /// Perform admitted instruction `j`; returns `false` when a TSO
+    /// store-buffer condition holds it back after all.
+    fn issue(&mut self, j: usize, ctx: &mut Ctx<'_, SysMsg>) -> bool {
+        let instr = self.program.instrs[j];
+        let tso = self.cfg.mcm == Mcm::Tso;
+        match instr {
+            Instr::Work(cycles) => {
+                self.state[j] = OpState::Issued;
+                self.inflight += 1;
+                ctx.wake_after(Delay::from_cycles(cycles as u64, 2_000), j as u64);
+            }
+            Instr::Fence(_) if self.cfg.family != ProtocolFamily::Rcc => {
+                // TSO full fences drain the store buffer first.
+                if tso && (!self.store_buffer.is_empty() || self.drain_inflight) {
+                    return false;
+                }
+                // Pure ordering: completes as soon as it may issue.
+                self.state[j] = OpState::Done;
+                self.retired += 1;
+            }
+            Instr::Store { addr, .. } if tso => {
+                // Retire into the store buffer; the drain makes the
+                // store visible in order, off the critical path.
+                if self.store_buffer.len() >= STORE_BUFFER_CAP {
+                    return false; // buffer full: stall this store
+                }
+                self.state[j] = OpState::Done;
+                self.retired += 1;
+                self.store_buffer.push_back(j);
+                // RFO prefetch: overlap the miss latency so the
+                // in-order drain usually hits (x86 store buffers
+                // issue ownership requests for all entries). The
+                // issue time varies — RFOs fire when buffer slots
+                // are scheduled, not instantaneously — which also
+                // lets younger loads overtake the store (the
+                // store-buffering behaviour of SB litmus tests).
+                let rfo_jitter = self.rng.below(24);
+                ctx.send_direct(
+                    self.l1,
+                    SysMsg::CoreReq(CoreReq {
+                        tag: PREFETCH_TAG | j as u64,
+                        instr: Instr::Prefetch { addr },
+                    }),
+                    Delay::from_cycles(1 + rfo_jitter, 2_000),
+                );
+                self.pump_drain(ctx);
+            }
+            Instr::Load { addr, reg, .. } if tso => {
+                // Store-to-load forwarding from the buffer.
+                if let Some(val) = self.forward_from_buffer(addr, j) {
+                    self.state[j] = OpState::Done;
+                    self.retired += 1;
+                    self.regs[reg.0 as usize] = val;
+                } else {
+                    self.issue_to_l1(j, instr, ctx);
+                }
+            }
+            Instr::Rmw { .. } if tso => {
+                // Atomics serialize with the store buffer.
+                if !self.store_buffer.is_empty() || self.drain_inflight {
+                    return false;
+                }
+                self.issue_to_l1(j, instr, ctx);
+            }
+            _ => self.issue_to_l1(j, instr, ctx),
+        }
+        true
+    }
+
     fn issue_to_l1(&mut self, j: usize, instr: Instr, ctx: &mut Ctx<'_, SysMsg>) {
         self.state[j] = OpState::Issued;
-        self.inflight.insert(j as u64, j);
+        self.inflight += 1;
         let jitter = if self.cfg.issue_jitter > 0 {
             self.rng.below(self.cfg.issue_jitter as u64 + 1)
         } else {
@@ -386,7 +385,7 @@ impl TimingCore {
         }
         debug_assert_eq!(self.state[j], OpState::Issued);
         self.state[j] = OpState::Done;
-        self.inflight.remove(&(j as u64));
+        self.inflight -= 1;
         self.retired += 1;
         match self.program.instrs[j] {
             Instr::Load { reg, .. } | Instr::Rmw { reg, .. } => {
@@ -407,14 +406,12 @@ impl Component<SysMsg> for TimingCore {
         if self.cfg.start_delay > Delay::ZERO {
             ctx.wake_after(self.cfg.start_delay, u64::MAX);
         } else {
-            self.started = true;
             self.try_issue(ctx);
         }
     }
 
     fn on_wake(&mut self, token: u64, ctx: &mut Ctx<'_, SysMsg>) {
         if token == u64::MAX {
-            self.started = true;
             self.try_issue(ctx);
             return;
         }
@@ -432,9 +429,7 @@ impl Component<SysMsg> for TimingCore {
     }
 
     fn done(&self) -> bool {
-        self.state.iter().all(|s| *s == OpState::Done)
-            && self.store_buffer.is_empty()
-            && !self.drain_inflight
+        self.oldest >= self.program.len() && self.store_buffer.is_empty() && !self.drain_inflight
     }
 
     fn report(&self, out: &mut Report) {
@@ -457,31 +452,74 @@ impl Component<SysMsg> for TimingCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use c3_protocol::ops::{AccessOrder, Addr};
+    use c3_protocol::mcm::must_order;
+    use c3_protocol::ops::{AccessOrder, Addr, FenceKind};
+    use c3_sim::kernel::{RunOutcome, Simulator};
 
     fn core(mcm: Mcm, program: ThreadProgram) -> TimingCore {
+        core_in(mcm, ProtocolFamily::Mesi, program)
+    }
+
+    fn core_in(mcm: Mcm, family: ProtocolFamily, program: ThreadProgram) -> TimingCore {
         TimingCore::new(
             "c",
             ComponentId(1),
-            CoreConfig::new(mcm, ProtocolFamily::Mesi),
+            CoreConfig::new(mcm, family),
             program,
             7,
         )
     }
 
+    /// The instructions one issue round admits, states left untouched.
+    fn issuable(c: &mut TimingCore) -> Vec<usize> {
+        let mut admitted = Vec::new();
+        c.issue_round(|_, j| {
+            admitted.push(j);
+            false
+        });
+        admitted
+    }
+
+    /// The issue rule as written before the one-pass summary: check the
+    /// candidate against every earlier incomplete instruction with
+    /// `must_order`, rescanning the instructions between each pair.
+    fn may_issue_oracle(c: &TimingCore, j: usize) -> bool {
+        let instr = &c.program.instrs[j];
+        let effective_mcm = if c.cfg.mcm == Mcm::Tso && matches!(instr, Instr::Load { .. }) {
+            Mcm::Weak
+        } else {
+            c.cfg.mcm
+        };
+        for i in c.oldest..j {
+            if c.state[i] == OpState::Done {
+                continue;
+            }
+            let earlier = &c.program.instrs[i];
+            match earlier {
+                Instr::Work(_) => return false,
+                Instr::Fence(_) if c.cfg.family == ProtocolFamily::Rcc => return false,
+                _ => {}
+            }
+            if must_order(effective_mcm, earlier, &c.program.instrs[i + 1..j], instr) {
+                return false;
+            }
+        }
+        true
+    }
+
     #[test]
     fn tso_store_load_may_issue_out_of_order() {
         let p = ThreadProgram::new().store(Addr(1), 1).load(Addr(2), Reg(0));
-        let c = core(Mcm::Tso, p);
+        let mut c = core(Mcm::Tso, p);
         // The load (index 1) may issue although the store is incomplete.
-        assert!(c.may_issue(1));
+        assert!(issuable(&mut c).contains(&1));
     }
 
     #[test]
     fn tso_stores_stay_ordered() {
         let p = ThreadProgram::new().store(Addr(1), 1).store(Addr(2), 1);
-        let c = core(Mcm::Tso, p);
-        assert!(!c.may_issue(1));
+        let mut c = core(Mcm::Tso, p);
+        assert!(!issuable(&mut c).contains(&1));
     }
 
     #[test]
@@ -490,9 +528,10 @@ mod tests {
             .store(Addr(1), 1)
             .store(Addr(2), 1)
             .load(Addr(3), Reg(0));
-        let c = core(Mcm::Weak, p);
-        assert!(c.may_issue(1));
-        assert!(c.may_issue(2));
+        let mut c = core(Mcm::Weak, p);
+        let admitted = issuable(&mut c);
+        assert!(admitted.contains(&1));
+        assert!(admitted.contains(&2));
     }
 
     #[test]
@@ -501,15 +540,15 @@ mod tests {
             .store(Addr(1), 1)
             .fence()
             .store(Addr(2), 1);
-        let c = core(Mcm::Weak, p);
-        assert!(!c.may_issue(2));
+        let mut c = core(Mcm::Weak, p);
+        assert!(!issuable(&mut c).contains(&2));
     }
 
     #[test]
     fn same_address_never_reorders() {
         let p = ThreadProgram::new().store(Addr(1), 1).load(Addr(1), Reg(0));
-        let c = core(Mcm::Weak, p);
-        assert!(!c.may_issue(1));
+        let mut c = core(Mcm::Weak, p);
+        assert!(!issuable(&mut c).contains(&1));
     }
 
     #[test]
@@ -526,14 +565,199 @@ mod tests {
         let p = ThreadProgram {
             instrs: p.collect(),
         };
-        let c = core(Mcm::Weak, p);
-        assert!(!c.may_issue(1));
+        let mut c = core(Mcm::Weak, p);
+        assert!(!issuable(&mut c).contains(&1));
     }
 
     #[test]
     fn work_blocks_later_issue() {
         let p = ThreadProgram::new().work(10).load(Addr(1), Reg(0));
-        let c = core(Mcm::Weak, p);
-        assert!(!c.may_issue(1));
+        let mut c = core(Mcm::Weak, p);
+        assert!(!issuable(&mut c).contains(&1));
+    }
+
+    /// A random instruction. Mixed: over three colliding addresses, every
+    /// access kind with every annotation, every fence kind, and `Work`.
+    /// Plain: relaxed loads and stores over 64 addresses, so the weak
+    /// model admits deep into the window and the horizon is exercised.
+    fn random_instr(rng: &mut SimRng, plain: bool) -> Instr {
+        let reg = Reg(0);
+        if plain {
+            let addr = Addr(rng.below(64));
+            let order = AccessOrder::Relaxed;
+            return match rng.below(2) {
+                0 => Instr::Load { addr, reg, order },
+                _ => Instr::Store {
+                    addr,
+                    val: 1,
+                    order,
+                },
+            };
+        }
+        let addr = Addr(rng.below(3));
+        let order = [
+            AccessOrder::Relaxed,
+            AccessOrder::Acquire,
+            AccessOrder::Release,
+            AccessOrder::SeqCst,
+        ][rng.below(4) as usize];
+        match rng.below(20) {
+            0..=5 => Instr::Load { addr, reg, order },
+            6..=11 => Instr::Store {
+                addr,
+                val: 1,
+                order,
+            },
+            12..=14 => Instr::Rmw {
+                addr,
+                add: 1,
+                reg,
+                order,
+            },
+            15 => Instr::Fence(FenceKind::Full),
+            16 => Instr::Fence(FenceKind::StoreStore),
+            17 => Instr::Fence(FenceKind::LoadLoad),
+            _ => Instr::Work(1),
+        }
+    }
+
+    /// One summary pass admits exactly the instructions the pairwise
+    /// `must_order` rule admits, for every MCM and protocol family, on
+    /// random windows (some longer than the reorder window) whose entries
+    /// are randomly waiting, issued or done.
+    #[test]
+    fn summary_pass_matches_must_order() {
+        let mut rng = SimRng::seed_from(0x5EED);
+        let states = [OpState::Waiting, OpState::Issued, OpState::Done];
+        for case in 0..12_000 {
+            let len = 1 + rng.below(ROB_LOOKAHEAD as u64 + 16) as usize;
+            let plain = case % 4 == 0;
+            let program = ThreadProgram {
+                instrs: (0..len).map(|_| random_instr(&mut rng, plain)).collect(),
+            };
+            let state: Vec<OpState> = (0..len).map(|_| states[rng.below(3) as usize]).collect();
+            for mcm in [Mcm::Sc, Mcm::Tso, Mcm::Weak] {
+                for family in [ProtocolFamily::Mesi, ProtocolFamily::Rcc] {
+                    let mut c = core_in(mcm, family, program.clone());
+                    c.state = state.clone();
+                    let admitted = issuable(&mut c);
+                    let horizon = (c.oldest + ROB_LOOKAHEAD).min(len);
+                    let expected: Vec<usize> = (c.oldest..horizon)
+                        .filter(|&j| c.state[j] == OpState::Waiting && may_issue_oracle(&c, j))
+                        .collect();
+                    assert_eq!(
+                        admitted, expected,
+                        "case {case}, {mcm:?}/{family:?}: {:?} in states {state:?}",
+                        program.instrs
+                    );
+                }
+            }
+        }
+    }
+
+    /// Stand-in L1: answers every request after a per-address delay (the
+    /// second request for an address takes `reissue`), and at `hint_at`
+    /// tells the core that line `hinted` was invalidated.
+    struct StubL1 {
+        core: ComponentId,
+        delays: Vec<(Addr, Delay)>,
+        reissue: Delay,
+        seen: Vec<Addr>,
+        hinted: Addr,
+        hint_at: Delay,
+    }
+
+    impl Component<SysMsg> for StubL1 {
+        fn name(&self) -> String {
+            "l1".into()
+        }
+        fn start(&mut self, ctx: &mut Ctx<'_, SysMsg>) {
+            ctx.wake_after(self.hint_at, 0);
+        }
+        fn on_wake(&mut self, _token: u64, ctx: &mut Ctx<'_, SysMsg>) {
+            let addr = self.hinted;
+            ctx.send_direct(self.core, SysMsg::InvHint { addr }, Delay::ZERO);
+        }
+        fn handle(&mut self, msg: SysMsg, _src: ComponentId, ctx: &mut Ctx<'_, SysMsg>) {
+            let SysMsg::CoreReq(CoreReq { tag, instr }) = msg else {
+                panic!("stub L1 received {msg:?}");
+            };
+            let addr = instr.addr().expect("memory request");
+            let delay = if self.seen.contains(&addr) {
+                self.reissue
+            } else {
+                self.seen.push(addr);
+                self.delays
+                    .iter()
+                    .find(|(a, _)| *a == addr)
+                    .map_or(Delay::from_ns(1), |&(_, d)| d)
+            };
+            ctx.send_direct(
+                self.core,
+                SysMsg::CoreResp(CoreResp { tag, value: 0 }),
+                delay,
+            );
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// A TSO load squashed while everything behind it is already `Done`
+    /// must keep the core unfinished until it completes again: the
+    /// finish check rests on `oldest`, which the squash does not move.
+    #[test]
+    fn tso_squash_behind_done_tail_keeps_core_unfinished() {
+        // Load X is slow; loads A, B, C complete early (out of order under
+        // TSO) and A is then invalidated, squashing it behind X.
+        let p = ThreadProgram::new()
+            .load(Addr(9), Reg(0))
+            .load(Addr(1), Reg(1))
+            .load(Addr(2), Reg(2))
+            .load(Addr(3), Reg(3));
+        let mut sim: Simulator<SysMsg> = Simulator::new(1);
+        let mut cfg = CoreConfig::new(Mcm::Tso, ProtocolFamily::Mesi);
+        cfg.issue_jitter = 0;
+        let core_id = sim.add_component(Box::new(TimingCore::new("c", ComponentId(1), cfg, p, 7)));
+        let l1 = sim.add_component(Box::new(StubL1 {
+            core: core_id,
+            delays: vec![(Addr(9), Delay::from_ns(100))],
+            reissue: Delay::from_ns(200),
+            seen: Vec::new(),
+            hinted: Addr(1),
+            hint_at: Delay::from_ns(50),
+        }));
+        assert_eq!(l1, ComponentId(1));
+        let at = |sim: &mut Simulator<SysMsg>, limit: Time| {
+            sim.set_time_limit(limit);
+            let outcome = sim.run();
+            let c = sim.component_as::<TimingCore>(core_id).unwrap();
+            (outcome, c.finished_at(), c.done(), c.squashes)
+        };
+        // Squashed, with X outstanding.
+        assert_eq!(
+            at(&mut sim, Time::from_ns(60)),
+            (RunOutcome::TimeLimit, None, false, 1)
+        );
+        // X done: every instruction but the re-issued A is `Done`.
+        let (outcome, finished, done, _) = at(&mut sim, Time::from_ns(150));
+        assert_eq!(
+            (outcome, finished, done),
+            (RunOutcome::TimeLimit, None, false)
+        );
+        {
+            let c = sim.component_as::<TimingCore>(core_id).unwrap();
+            assert_eq!(c.oldest, 1);
+            assert_eq!(c.state[1], OpState::Issued);
+            assert!(c.state[2..].iter().all(|s| *s == OpState::Done));
+        }
+        // A completes again: now the core is finished.
+        let (outcome, finished, done, _) = at(&mut sim, Time::MAX);
+        assert_eq!(outcome, RunOutcome::Completed);
+        assert!(done);
+        assert!(finished.is_some_and(|t| t > Time::from_ns(200)));
     }
 }

@@ -6,7 +6,7 @@
 //! This module defines the per-thread ordering rules that both the timing
 //! core model (`c3-mcm`) and the operational reference enumerator obey.
 
-use crate::ops::{AccessOrder, FenceKind, Instr};
+use crate::ops::{AccessOrder, Addr, FenceKind, Instr};
 
 /// A per-cluster memory consistency model.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -88,8 +88,11 @@ pub fn fence_orders(kind: FenceKind, first: OpClass, second: OpClass) -> bool {
 /// *perform* (become globally visible), under `mcm`, given the instructions
 /// strictly between them (`between`, used for fences).
 ///
-/// This single predicate drives both the timing core model and the
-/// operational reference model, so the two cannot drift apart.
+/// This predicate is the specification. The operational reference model
+/// calls it pair by pair; the timing core model evaluates it through
+/// [`OrderSummary`], a one-pass digest of the same rules, and
+/// `c3-mcm`'s `summary_pass_matches_must_order` test proves the two
+/// agree on randomized windows for every MCM and protocol family.
 ///
 /// Rules applied, in order:
 /// 1. same-address accesses always stay ordered (per-location coherence);
@@ -134,6 +137,102 @@ fn instr_order(i: &Instr) -> AccessOrder {
     match i {
         Instr::Load { order, .. } | Instr::Store { order, .. } | Instr::Rmw { order, .. } => *order,
         _ => AccessOrder::Relaxed,
+    }
+}
+
+/// What [`must_order`] needs to know about the still-incomplete accesses
+/// of a program prefix, gathered in one forward pass.
+///
+/// Fold instructions in program order with [`OrderSummary::push`]; then
+/// [`OrderSummary::orders`] tells whether *any* folded incomplete access
+/// must be ordered before a later instruction — the same answer as
+/// calling [`must_order`] against each of them with the instructions in
+/// between, in O(1) plus one lookup among the pending addresses instead
+/// of a rescan per pair. The address buffer keeps its capacity across
+/// [`OrderSummary::clear`], so reuse allocates nothing.
+#[derive(Clone, Debug, Default)]
+pub struct OrderSummary {
+    /// An incomplete access of predecessor class Load was folded.
+    load: bool,
+    /// An incomplete access of predecessor class Store (or an RMW) was
+    /// folded.
+    store: bool,
+    /// An incomplete access with acquire semantics was folded.
+    acquire: bool,
+    /// A full fence follows some incomplete access.
+    full_fenced: bool,
+    /// A store-store fence follows some incomplete Store-class access.
+    store_fenced: bool,
+    /// A load-load fence follows some incomplete Load-class access.
+    load_fenced: bool,
+    /// Addresses of the incomplete accesses.
+    addrs: Vec<Addr>,
+}
+
+impl OrderSummary {
+    /// An empty summary whose address buffer holds `cap` entries before
+    /// it grows.
+    pub fn with_capacity(cap: usize) -> Self {
+        OrderSummary {
+            addrs: Vec::with_capacity(cap),
+            ..OrderSummary::default()
+        }
+    }
+
+    /// Forget every folded instruction (keeps the buffer's capacity).
+    pub fn clear(&mut self) {
+        self.addrs.clear();
+        *self = OrderSummary {
+            addrs: std::mem::take(&mut self.addrs),
+            ..OrderSummary::default()
+        };
+    }
+
+    /// Fold the next instruction in program order. A `complete` access
+    /// orders nothing any more; a fence orders the accesses before it
+    /// whatever its own state. Work and prefetches carry no ordering.
+    pub fn push(&mut self, instr: &Instr, complete: bool) {
+        if let Instr::Fence(kind) = instr {
+            match kind {
+                FenceKind::Full => self.full_fenced |= self.load || self.store,
+                FenceKind::StoreStore => self.store_fenced |= self.store,
+                FenceKind::LoadLoad => self.load_fenced |= self.load,
+            }
+            return;
+        }
+        if complete {
+            return;
+        }
+        let (Some((class, _)), Some(addr)) = (classify(instr), instr.addr()) else {
+            return;
+        };
+        match class {
+            OpClass::Load => self.load = true,
+            OpClass::Store => self.store = true,
+        }
+        self.acquire |= instr_order(instr).is_acquire();
+        self.addrs.push(addr);
+    }
+
+    /// Whether some folded incomplete access must be ordered before
+    /// `later` under `mcm` — rule for rule, [`must_order`] over the fold.
+    pub fn orders(&self, mcm: Mcm, later: &Instr) -> bool {
+        let Some((_, class)) = classify(later) else {
+            return false;
+        };
+        if !(self.load || self.store) {
+            return false;
+        }
+        // Rule 2 (fences), rules 3–4 (annotations), rule 6 (base model),
+        // then rule 1 (same address), the only one needing a lookup.
+        self.full_fenced
+            || self.load_fenced
+            || (self.store_fenced && class == OpClass::Store)
+            || self.acquire
+            || instr_order(later).is_release()
+            || (self.load && mcm.preserves(OpClass::Load, class))
+            || (self.store && mcm.preserves(OpClass::Store, class))
+            || later.addr().is_some_and(|a| self.addrs.contains(&a))
     }
 }
 
@@ -256,6 +355,77 @@ mod tests {
         };
         assert!(must_order(Mcm::Weak, &rmw, &[], &ld(2)));
         assert!(must_order(Mcm::Weak, &st(2), &[], &rmw));
+    }
+
+    /// Every window of up to two earlier instructions (each access
+    /// complete or not) before every candidate: the summary answers
+    /// exactly what `must_order` against each incomplete access does.
+    #[test]
+    fn summary_matches_must_order_on_short_windows() {
+        let orders = [
+            AccessOrder::Relaxed,
+            AccessOrder::Acquire,
+            AccessOrder::Release,
+            AccessOrder::SeqCst,
+        ];
+        let mut alphabet = vec![
+            Instr::Fence(FenceKind::Full),
+            Instr::Fence(FenceKind::StoreStore),
+            Instr::Fence(FenceKind::LoadLoad),
+            Instr::Work(1),
+        ];
+        for order in orders {
+            for a in [Addr(1), Addr(2)] {
+                let reg = Reg(0);
+                alphabet.push(Instr::Load {
+                    addr: a,
+                    reg,
+                    order,
+                });
+                alphabet.push(Instr::Store {
+                    addr: a,
+                    val: 1,
+                    order,
+                });
+                alphabet.push(Instr::Rmw {
+                    addr: a,
+                    add: 1,
+                    reg,
+                    order,
+                });
+            }
+        }
+        let entries: Vec<(Instr, bool)> = alphabet
+            .iter()
+            .flat_map(|&i| [(i, false), (i, true)])
+            .collect();
+        let mut windows = vec![vec![]];
+        for &a in &entries {
+            windows.push(vec![a]);
+            for &b in &entries {
+                windows.push(vec![a, b]);
+            }
+        }
+        let mut summary = OrderSummary::default();
+        for w in &windows {
+            summary.clear();
+            for (i, done) in w {
+                summary.push(i, *done);
+            }
+            let instrs: Vec<Instr> = w.iter().map(|(i, _)| *i).collect();
+            for later in &alphabet {
+                for mcm in [Mcm::Sc, Mcm::Tso, Mcm::Weak] {
+                    let spec = w.iter().enumerate().any(|(k, (earlier, done))| {
+                        !done && must_order(mcm, earlier, &instrs[k + 1..], later)
+                    });
+                    assert_eq!(
+                        summary.orders(mcm, later),
+                        spec,
+                        "{mcm:?} {w:?} then {later:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
