@@ -33,9 +33,10 @@
 //! `--alloc-budget FILE` is given and a measurement exceeds its
 //! committed allocs/event budget (the deterministic perf gate; see
 //! `crates/bench/alloc_budget.txt` and the perf-smoke CI job), or if
-//! `--floor-label TEXT` is given and the ping-pong or vips throughput
-//! drops more than 20% below the best committed same-`quick` entry
-//! under that label (the wall-clock regression floors).
+//! `--floor-label TEXT` is given and the ping-pong, vips or
+//! metrics-enabled vips throughput drops more than 20% below the best
+//! committed same-`quick` entry under that label (the wall-clock
+//! regression floors).
 
 use std::any::Any;
 use std::num::NonZeroUsize;
@@ -414,10 +415,16 @@ fn run(args: &Args) -> Result<(), CliError> {
     }
 
     if let Some(flabel) = floor_label {
-        // The kernel ceiling (pingpong) and the full-system hot path
-        // (vips) both gate: a regression confined to protocol/cache
-        // logic leaves pingpong untouched but still drags vips.
-        for (name, m, prefix) in [("pingpong", &pp, "pingpong"), ("vips", &wl, "vips/")] {
+        // The kernel ceiling (pingpong), the full-system hot path (vips)
+        // and the same run with telemetry sampling (metrics+vips) all
+        // gate: a regression confined to protocol/cache logic leaves
+        // pingpong untouched but still drags vips, and one confined to
+        // the sampling hooks drags only metrics+vips.
+        for (name, m, prefix) in [
+            ("pingpong", &pp, "pingpong"),
+            ("vips", &wl, "vips/"),
+            ("metrics+vips", &wlm, "metrics+vips/"),
+        ] {
             match prev
                 .as_deref()
                 .and_then(|p| best_throughput(p, flabel, quick, prefix))
@@ -475,4 +482,31 @@ fn run(args: &Args) -> Result<(), CliError> {
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::best_throughput;
+
+    /// The floor baseline of a config is the best entry under the label
+    /// with the same `quick` flag, and `vips/` does not pick up the
+    /// `metrics+vips/` entries (or vice versa).
+    #[test]
+    fn floor_baseline_matches_label_quick_and_whole_config() {
+        let prev = [
+            r#"{"label": "a", "config": "vips/X", "quick": true, "events_per_sec": 300}"#,
+            r#"{"label": "a", "config": "vips/X", "quick": true, "events_per_sec": 500}"#,
+            r#"{"label": "a", "config": "metrics+vips/X", "quick": true, "events_per_sec": 900}"#,
+            r#"{"label": "a", "config": "vips/X", "quick": false, "events_per_sec": 700}"#,
+            r#"{"label": "b", "config": "vips/X", "quick": true, "events_per_sec": 800}"#,
+        ]
+        .join(",\n");
+        assert_eq!(best_throughput(&prev, "a", true, "vips/"), Some(500.0));
+        assert_eq!(
+            best_throughput(&prev, "a", true, "metrics+vips/"),
+            Some(900.0)
+        );
+        assert_eq!(best_throughput(&prev, "a", false, "metrics+vips/"), None);
+        assert_eq!(best_throughput(&prev, "c", true, "vips/"), None);
+    }
 }

@@ -133,6 +133,38 @@ fn metrics_output_fingerprint_pinned() {
     );
 }
 
+/// The OLTP counterpart of [`metrics_output_fingerprint_pinned`]: quick
+/// `oltp-quick` with footprint gauges on, pinned through the JSON export.
+/// Unlike the vips CSV this covers the hot-address top-k and the
+/// directory occupancy gauges (`dir_busy`, `dir_queued`,
+/// `blocking_snoops`, `bisnp_waiting`) that walk the region stores' live
+/// lines. Two intervals: 25 ns samples the gauges densely, and 5 µs
+/// windows see more than 64 distinct hot addresses, so the sketch's
+/// eviction path shapes the pinned top-k.
+#[test]
+fn oltp_telemetry_fingerprint_pinned() {
+    let spec = WorkloadSpec::by_name("oltp-quick").expect("workload");
+    let mut doc = String::new();
+    for ns in [25, 5000] {
+        let cfg = vips_cfg(Some(ns)).with_state_metrics();
+        let (mut sim, _handles) = build_sim(&spec, &cfg);
+        assert_eq!(sim.run(), RunOutcome::Completed, "oltp-quick wedged");
+        sim.sample_metrics_now();
+        let json = sim.metrics().to_json();
+        for needle in ["\"top_addrs\":[[", "dir_busy", "bisnp_waiting"] {
+            assert!(json.contains(needle), "telemetry JSON lacks {needle}");
+        }
+        doc.push_str(&json);
+        doc.push('\n');
+    }
+    assert_eq!(
+        fnv1a(&doc),
+        13_732_210_233_992_473_444u64,
+        "pinned oltp telemetry fingerprint changed — if the schema/behaviour \
+         change is intentional, re-pin this constant"
+    );
+}
+
 /// Metrics-enabled grid runs must stay byte-identical between 1 and N
 /// worker threads (sampling is driven purely by simulated time).
 #[test]

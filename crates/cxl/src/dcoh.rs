@@ -446,14 +446,26 @@ impl DcohEngine {
         v
     }
 
-    /// Human-readable dump of blocked lines (deadlock diagnostics).
+    /// Lines with a blocking snoop in flight or queued requests, in
+    /// address order (the live walk's slab order is allocation history,
+    /// not something diagnostics should show).
+    fn blocked_lines(&self) -> Vec<(u64, &Line)> {
+        let mut blocked: Vec<(u64, &Line)> = self
+            .lines
+            .iter_live()
+            .filter(|(_, l)| l.snoop.is_some() || !l.queue.is_empty())
+            .collect();
+        blocked.sort_by_key(|(a, _)| *a);
+        blocked
+    }
+
+    /// Human-readable dump of blocked lines, in address order (deadlock
+    /// diagnostics).
     pub fn pending_summary(&self) -> String {
         let mut out = String::from("dcoh:");
-        for (k, l) in self.lines.iter_live() {
-            if l.snoop.is_some() || !l.queue.is_empty() {
-                let a = Addr(k);
-                out.push_str(&format!(" [{a}: snoop={:?} queue={:?}]", l.snoop, l.queue));
-            }
+        for (k, l) in self.blocked_lines() {
+            let a = Addr(k);
+            out.push_str(&format!(" [{a}: snoop={:?} queue={:?}]", l.snoop, l.queue));
         }
         out
     }
@@ -463,14 +475,8 @@ impl DcohEngine {
     /// post-mortem. `self_id` stamps the owning component into the
     /// captured entries.
     pub fn inflight(&self, self_id: ComponentId) -> Vec<InflightTxn> {
-        let mut busy: Vec<(u64, &Line)> = self
-            .lines
-            .iter_live()
-            .filter(|(_, l)| l.snoop.is_some() || !l.queue.is_empty())
-            .collect();
-        busy.sort_by_key(|(a, _)| *a);
         let mut out = Vec::new();
-        for (addr, l) in busy {
+        for (addr, l) in self.blocked_lines() {
             if let Some(s) = &l.snoop {
                 // A blocking transient state: the line is held hostage by
                 // the hosts that have not answered the BISnp yet.
@@ -671,8 +677,9 @@ impl DcohEngine {
         max_retries: u32,
     ) -> Vec<DcohEffect> {
         let mut out = Vec::new();
-        // Sorted: FxHashMap iteration order is run-stable but an
-        // artifact of hashing, not a protocol order (DESIGN.md §12).
+        // Sorted: the live walk's slab order is run-stable but an
+        // artifact of allocation history, not a protocol order
+        // (DESIGN.md §16.3).
         let mut expired: Vec<Addr> = self
             .lines
             .iter_live()
@@ -1205,6 +1212,25 @@ mod tests {
             )]
         );
         assert_eq!(d.holders(X), CxlHolders::Exclusive(H1));
+    }
+
+    #[test]
+    fn pending_summary_lists_lines_in_address_order() {
+        // Promote the higher address first, so the live walk (slab
+        // order) meets it before the lower one.
+        let (lo, hi) = (X, Addr(0x4000));
+        let mut d = DcohEngine::new();
+        for a in [hi, lo] {
+            d.handle(H1, CxlMsg::MemRdA { addr: a });
+        }
+        for a in [hi, lo] {
+            d.handle(H2, CxlMsg::MemRdS { addr: a });
+        }
+        let walk: Vec<u64> = d.lines.iter_live().map(|(k, _)| k).collect();
+        assert_eq!(walk, vec![hi.0, lo.0], "slab order is promotion order");
+        let s = d.pending_summary();
+        let at = |a: Addr| s.find(&format!("[{a}:")).expect("blocked line listed");
+        assert!(at(lo) < at(hi), "not in address order: {s}");
     }
 
     #[test]

@@ -37,7 +37,6 @@
 //! but never correctness. This bounds memory for arbitrarily long runs
 //! without knowing the run length in advance.
 
-use crate::hash::FxHashMap;
 use crate::stats::Report;
 use crate::time::{Delay, Time};
 use crate::trace::json_str;
@@ -136,19 +135,25 @@ impl MetricSample {
 
 /// Space-saving heavy-hitter sketch over line addresses: bounded size,
 /// deterministic. When full, the entry with the smallest `(count, addr)`
-/// is evicted and the newcomer inherits its count + 1 (the classic
+/// is evicted and the newcomer inherits its count + `n` (the classic
 /// space-saving overestimate). Ties break on the *address*, so the
-/// result is independent of map iteration order.
+/// result is independent of storage order.
+///
+/// The entries are a flat, unordered array of at most `cap` (64)
+/// `(addr, count)` pairs: every delivered message notes an address, and
+/// at this size a linear scan (plus one more for the eviction minimum)
+/// beats hashing, rehashing and iterating a map. Nothing is allocated
+/// until the first note, so a disabled hub pays nothing for it.
 #[derive(Debug)]
 struct AddrSketch {
-    counts: FxHashMap<u64, u64>,
+    entries: Vec<(u64, u64)>,
     cap: usize,
 }
 
 impl AddrSketch {
     fn new(cap: usize) -> Self {
         AddrSketch {
-            counts: FxHashMap::default(),
+            entries: Vec::new(),
             cap,
         }
     }
@@ -161,33 +166,40 @@ impl AddrSketch {
     /// merges whole per-domain sketches, so single-increment `note` is
     /// the `n == 1` special case.
     fn note_n(&mut self, addr: u64, n: u64) {
-        if let Some(c) = self.counts.get_mut(&addr) {
-            *c += n;
-            return;
+        if let Some(e) = self.entries.iter_mut().find(|e| e.0 == addr) {
+            e.1 += n;
+        } else if self.entries.len() < self.cap {
+            self.entries.push((addr, n));
+        } else {
+            let min = self
+                .entries
+                .iter_mut()
+                .min_by_key(|e| (e.1, e.0))
+                .expect("sketch non-empty at capacity");
+            *min = (addr, min.1 + n);
         }
-        if self.counts.len() < self.cap {
-            self.counts.insert(addr, n);
-            return;
+    }
+
+    /// Fold `other` into this sketch in ascending address order (so the
+    /// result does not depend on `other`'s storage order) and empty it.
+    fn absorb(&mut self, other: &mut AddrSketch) {
+        other.entries.sort_unstable();
+        for &(a, c) in &other.entries {
+            self.note_n(a, c);
         }
-        let (&evict, &count) = self
-            .counts
-            .iter()
-            .min_by_key(|&(&a, &c)| (c, a))
-            .expect("sketch non-empty at capacity");
-        self.counts.remove(&evict);
-        self.counts.insert(addr, count + n);
+        other.entries.clear();
     }
 
     /// Drain the top `k` entries by `(count desc, addr asc)` into `out`,
-    /// then reset the sketch (capacity is retained).
-    fn drain_top(&mut self, k: usize, scratch: &mut Vec<(u64, u64)>, out: &mut Vec<(u64, u64)>) {
-        scratch.clear();
-        scratch.extend(self.counts.iter().map(|(&a, &c)| (a, c)));
-        scratch.sort_unstable_by(|x, y| y.1.cmp(&x.1).then(x.0.cmp(&y.0)));
+    /// padding with `(0, 0)`, then reset the sketch (capacity is
+    /// retained).
+    fn drain_top(&mut self, k: usize, out: &mut Vec<(u64, u64)>) {
+        self.entries
+            .sort_unstable_by(|x, y| y.1.cmp(&x.1).then(x.0.cmp(&y.0)));
         for i in 0..k {
-            out.push(scratch.get(i).copied().unwrap_or((0, 0)));
+            out.push(self.entries.get(i).copied().unwrap_or((0, 0)));
         }
-        self.counts.clear();
+        self.entries.clear();
     }
 }
 
@@ -272,7 +284,6 @@ pub struct MetricsHub {
     sketch: AddrSketch,
     /// `TOPK` `(addr, count)` entries per window; `count == 0` pads.
     topk: Vec<(u64, u64)>,
-    scratch: Vec<(u64, u64)>,
 }
 
 impl MetricsHub {
@@ -298,7 +309,6 @@ impl MetricsHub {
             vnet_counts: vec![0],
             sketch: AddrSketch::new(SKETCH_CAP),
             topk: Vec::new(),
-            scratch: Vec::new(),
         }
     }
 
@@ -407,7 +417,7 @@ impl MetricsHub {
     /// domain's `last_event_ps` so busy gaps stay domain-continuous).
     /// Called by the shard coordinator at every barrier, in domain
     /// order; the sketch merge iterates entries in ascending address
-    /// order so the result is independent of map iteration order.
+    /// order so the result is independent of storage order.
     pub(crate) fn fold_scratch(&mut self, s: &mut MetricsScratch) {
         if s.comp_events.len() > self.comp_events.len() {
             self.comp_events.resize(s.comp_events.len(), 0);
@@ -427,16 +437,7 @@ impl MetricsHub {
         }
         self.events_observed += s.events;
         s.events = 0;
-        self.scratch.clear();
-        self.scratch
-            .extend(s.sketch.counts.iter().map(|(&a, &c)| (a, c)));
-        self.scratch.sort_unstable();
-        s.sketch.counts.clear();
-        let merged = std::mem::take(&mut self.scratch);
-        for &(a, c) in &merged {
-            self.sketch.note_n(a, c);
-        }
-        self.scratch = merged;
+        self.sketch.absorb(&mut s.sketch);
     }
 
     /// Open the sample row for the window at boundary `t`.
@@ -488,8 +489,7 @@ impl MetricsHub {
         }
         self.times.push(self.current_t);
         self.values.extend_from_slice(&self.sample.row);
-        self.sketch
-            .drain_top(TOPK, &mut self.scratch, &mut self.topk);
+        self.sketch.drain_top(TOPK, &mut self.topk);
         if self.times.len() > self.max_windows {
             self.decimate();
         }
@@ -782,9 +782,8 @@ mod tests {
         }
         s.note(0x40);
         s.note(0x200); // same count as 0x40: lower addr wins the tie
-        let mut scratch = Vec::new();
         let mut out = Vec::new();
-        s.drain_top(4, &mut scratch, &mut out);
+        s.drain_top(4, &mut out);
         assert_eq!(out[0], (0x80, 3));
         assert_eq!(out[1], (0x40, 1));
         assert_eq!(out[2], (0x200, 1));
@@ -797,12 +796,114 @@ mod tests {
         s.note(1);
         s.note(2);
         s.note(3); // evicts min (count, addr) = (1, addr 1), inherits 2
-        assert!(s.counts.len() <= 2);
-        let mut scratch = Vec::new();
+        assert!(s.entries.len() <= 2);
         let mut out = Vec::new();
-        s.drain_top(2, &mut scratch, &mut out);
+        s.drain_top(2, &mut out);
         assert_eq!(out[0], (3, 2));
         assert_eq!(out[1], (2, 1));
+    }
+
+    /// The hash-map sketch the flat array replaced, kept as the oracle:
+    /// same space-saving rule, eviction by minimum `(count, addr)`, merge
+    /// in ascending address order, top-k by `(count desc, addr asc)`.
+    struct MapSketch {
+        counts: crate::hash::FxHashMap<u64, u64>,
+        cap: usize,
+    }
+
+    impl MapSketch {
+        fn note_n(&mut self, addr: u64, n: u64) {
+            if let Some(c) = self.counts.get_mut(&addr) {
+                *c += n;
+                return;
+            }
+            if self.counts.len() < self.cap {
+                self.counts.insert(addr, n);
+                return;
+            }
+            let (&evict, &count) = self
+                .counts
+                .iter()
+                .min_by_key(|&(&a, &c)| (c, a))
+                .expect("sketch non-empty at capacity");
+            self.counts.remove(&evict);
+            self.counts.insert(addr, count + n);
+        }
+
+        fn absorb(&mut self, other: &mut MapSketch) {
+            let mut merged: Vec<(u64, u64)> = other.counts.drain().collect();
+            merged.sort_unstable();
+            for (a, c) in merged {
+                self.note_n(a, c);
+            }
+        }
+
+        fn drain_top(&mut self, k: usize, out: &mut Vec<(u64, u64)>) {
+            let mut v: Vec<(u64, u64)> = self.counts.drain().collect();
+            v.sort_unstable_by(|x, y| y.1.cmp(&x.1).then(x.0.cmp(&y.0)));
+            for i in 0..k {
+                out.push(v.get(i).copied().unwrap_or((0, 0)));
+            }
+        }
+    }
+
+    /// Seeded differential test: the flat sketch against the map oracle
+    /// over random `note`/`note_n` streams into a hub sketch and two
+    /// domain sketches, random domain folds, and periodic top-k drains.
+    /// Small key spaces force count ties; caps below the key space force
+    /// evictions on most notes.
+    #[test]
+    fn sketch_matches_map_oracle() {
+        use crate::rng::SimRng;
+
+        let mut rng = SimRng::seed_from(0x5EE7);
+        let mut drained = 0;
+        for (cap, keys) in [(2, 5), (4, 40), (8, 8), (64, 100), (64, 4096)] {
+            let mut real: Vec<AddrSketch> = (0..3).map(|_| AddrSketch::new(cap)).collect();
+            let mut oracle: Vec<MapSketch> = (0..3)
+                .map(|_| MapSketch {
+                    counts: Default::default(),
+                    cap,
+                })
+                .collect();
+            for step in 0..20_000 {
+                let which = rng.below(3) as usize;
+                match rng.below(100) {
+                    0..=79 => {
+                        let addr = rng.below(keys) * 64;
+                        let n = if rng.below(4) == 0 {
+                            1 + rng.below(5)
+                        } else {
+                            1
+                        };
+                        real[which].note_n(addr, n);
+                        oracle[which].note_n(addr, n);
+                    }
+                    80..=95 => {
+                        // Fold a domain sketch (1 or 2) into the hub's (0).
+                        let d = 1 + which % 2;
+                        let (hub, dom) = real.split_at_mut(1);
+                        hub[0].absorb(&mut dom[d - 1]);
+                        let (hub, dom) = oracle.split_at_mut(1);
+                        hub[0].absorb(&mut dom[d - 1]);
+                    }
+                    _ => {
+                        let (mut a, mut b) = (Vec::new(), Vec::new());
+                        real[which].drain_top(TOPK, &mut a);
+                        oracle[which].drain_top(TOPK, &mut b);
+                        assert_eq!(a, b, "cap {cap} keys {keys} step {step}");
+                        drained += 1;
+                    }
+                }
+            }
+            for (r, o) in real.iter_mut().zip(&mut oracle) {
+                let (mut a, mut b) = (Vec::new(), Vec::new());
+                r.drain_top(cap, &mut a);
+                o.drain_top(cap, &mut b);
+                assert_eq!(a, b, "cap {cap} keys {keys}: final full drain");
+            }
+        }
+        assert!(drained > 1000, "drains actually compared");
     }
 
     #[test]

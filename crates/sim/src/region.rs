@@ -23,14 +23,19 @@
 //! Entries live in a slab with a free list, so steady-state
 //! promote/demote cycles recycle allocations instead of hitting the heap
 //! per event — the allocs/event budgets in `crates/bench/alloc_budget.txt`
-//! rely on this.
+//! rely on this. Each slab slot carries its line key beside the entry
+//! (a `FREE` sentinel when the slot is on the free list), so
+//! [`RegionMap::iter_live`] is a dense walk over the slab — O(resident
+//! high-water mark), not O(regions ever touched). The telemetry
+//! occupancy gauges and `idle()` checks run that walk on every sample or
+//! message, so it must not grow with the footprint.
 //!
 //! Determinism: `RegionMap` introduces no ordering of its own into
 //! simulated behaviour. Callers either address a single line (all the
-//! engine hot paths) or iterate and then sort (post-mortem / report
-//! paths); the iteration order of the underlying [`FxHashMap`] is a pure
-//! function of the insertion history, which is itself deterministic for
-//! a seed.
+//! engine hot paths) or iterate, and iteration (in slab-slot order, a
+//! pure function of the promote/demote history, itself deterministic
+//! for a seed) feeds only order-free reductions (counts, `all`) or
+//! output that is sorted first.
 //!
 //! # Examples
 //!
@@ -117,6 +122,10 @@ fn rank(mask: u64, bit: u32) -> usize {
     (mask & ((1u64 << bit) - 1)).count_ones() as usize
 }
 
+/// Slab key of a slot on the free list. Line keys are line indices
+/// (addresses `>> 6`), so no live line can carry it.
+const FREE: u64 = u64::MAX;
+
 /// A point-in-time snapshot of a [`RegionMap`]'s storage footprint, for
 /// uniform wiring into gauges and reports across the coherence agents.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -146,7 +155,9 @@ pub struct Footprint {
 #[derive(Debug)]
 pub struct RegionMap<V: RegionEntry> {
     regions: FxHashMap<u64, Region<V::Summary>>,
-    slab: Vec<V>,
+    /// `(line key, entry)` per slot; the key is [`FREE`] while the slot
+    /// sits on the free list.
+    slab: Vec<(u64, V)>,
     free: Vec<u32>,
     touched: u64,
     resident: usize,
@@ -180,6 +191,7 @@ impl<V: RegionEntry> RegionMap<V> {
     /// (or a fresh default) if the line is not currently live. Marks the
     /// line touched.
     pub fn entry(&mut self, key: u64) -> &mut V {
+        debug_assert_ne!(key, FREE, "line key collides with the free-slot sentinel");
         let (rk, bit) = (key / LINES_PER_REGION, (key % LINES_PER_REGION) as u32);
         let region = self.regions.entry(rk).or_insert_with(Region::new);
         if region.touched & (1 << bit) == 0 {
@@ -200,11 +212,13 @@ impl<V: RegionEntry> RegionMap<V> {
             let slot = match self.free.pop() {
                 Some(s) => s,
                 None => {
-                    self.slab.push(V::default());
+                    self.slab.push((FREE, V::default()));
                     (self.slab.len() - 1) as u32
                 }
             };
-            self.slab[slot as usize].restore(summary);
+            let (k, v) = &mut self.slab[slot as usize];
+            *k = key;
+            v.restore(summary);
             let i = rank(region.live, bit);
             region.live |= 1 << bit;
             region.slots.insert(i, slot);
@@ -214,7 +228,7 @@ impl<V: RegionEntry> RegionMap<V> {
         }
         let region = self.regions.get(&rk).expect("region just ensured");
         let slot = region.slots[rank(region.live, bit)];
-        &mut self.slab[slot as usize]
+        &mut self.slab[slot as usize].1
     }
 
     /// The materialized entry for `key`, if the line is currently live.
@@ -226,7 +240,7 @@ impl<V: RegionEntry> RegionMap<V> {
         if region.live & (1 << bit) == 0 {
             return None;
         }
-        Some(&self.slab[region.slots[rank(region.live, bit)] as usize])
+        Some(&self.slab[region.slots[rank(region.live, bit)] as usize].1)
     }
 
     /// Mutable access to the materialized entry for `key`, if live. Does
@@ -238,7 +252,7 @@ impl<V: RegionEntry> RegionMap<V> {
             return None;
         }
         let slot = region.slots[rank(region.live, bit)];
-        Some(&mut self.slab[slot as usize])
+        Some(&mut self.slab[slot as usize].1)
     }
 
     /// The stored summary for `key`. `None` when the line is live, was
@@ -274,12 +288,13 @@ impl<V: RegionEntry> RegionMap<V> {
             return false;
         }
         let slot = region.slots[rank(region.live, bit)];
-        let Some(summary) = self.slab[slot as usize].try_demote() else {
+        let Some(summary) = self.slab[slot as usize].1.try_demote() else {
             return false;
         };
         let i = rank(region.live, bit);
         region.live &= !(1 << bit);
         region.slots.remove(i);
+        self.slab[slot as usize].0 = FREE;
         self.free.push(slot);
         self.resident -= 1;
         if summary != V::Summary::default() {
@@ -308,7 +323,9 @@ impl<V: RegionEntry> RegionMap<V> {
         region.slots.remove(i);
         self.free.push(slot);
         self.resident -= 1;
-        Some(mem::take(&mut self.slab[slot as usize]))
+        let (k, v) = &mut self.slab[slot as usize];
+        *k = FREE;
+        Some(mem::take(v))
     }
 
     /// Lines ever materialized — the historical `lines.len()` statistic
@@ -339,8 +356,9 @@ impl<V: RegionEntry> RegionMap<V> {
 
     /// Estimated bytes of coherence state held right now: region table
     /// entries, stored summaries, rank vectors and the entry slab
-    /// (struct sizes; heap owned *by* entries — holder sets, queues — is
-    /// not traversed, so this is a lower bound).
+    /// (struct sizes; heap owned *by* entries — holder sets, queues — and
+    /// the slab's per-slot line keys are not counted, so this is a lower
+    /// bound).
     pub fn state_bytes(&self) -> usize {
         self.regions.len() * (mem::size_of::<Region<V::Summary>>() + 8)
             + self.summarized * mem::size_of::<V::Summary>()
@@ -372,28 +390,21 @@ impl<V: RegionEntry> RegionMap<V> {
         }
     }
 
-    /// Iterate all materialized `(line, entry)` pairs. Order is the
-    /// region map's deterministic-for-a-seed iteration order; callers
-    /// that expose the result sort first.
+    /// Iterate all materialized `(line, entry)` pairs: one dense pass
+    /// over the slab, O(peak resident). Order is slab-slot order,
+    /// deterministic for a seed but an artifact of allocation history;
+    /// callers reduce order-free or sort before exposing the result.
     pub fn iter_live(&self) -> impl Iterator<Item = (u64, &V)> {
-        self.regions.iter().flat_map(move |(&rk, region)| {
-            let mut mask = region.live;
-            std::iter::from_fn(move || {
-                if mask == 0 {
-                    return None;
-                }
-                let bit = mask.trailing_zeros();
-                mask &= mask - 1;
-                let key = rk * LINES_PER_REGION + bit as u64;
-                let slot = region.slots[rank(region.live, bit)];
-                Some((key, &self.slab[slot as usize]))
-            })
-        })
+        self.slab
+            .iter()
+            .filter(|(k, _)| *k != FREE)
+            .map(|(k, v)| (*k, v))
     }
 
     /// Iterate all stored `(line, summary)` pairs (quiescent lines with
-    /// non-default summaries). Same ordering caveat as
-    /// [`RegionMap::iter_live`].
+    /// non-default summaries). Order is the region table's
+    /// deterministic-for-a-seed iteration order; callers sort before
+    /// exposing the result.
     pub fn iter_summaries(&self) -> impl Iterator<Item = (u64, V::Summary)> + '_ {
         self.regions.iter().flat_map(|(&rk, region)| {
             let mut mask = region.summarized;
@@ -670,9 +681,28 @@ mod tests {
                     };
                 }
             }
-            // Global invariants every step.
-            let live_count = oracle.values().filter(|(_, live)| *live).count();
-            assert_eq!(m.resident(), live_count, "step {step}");
+            // Global invariants every step. The live walk must yield
+            // exactly the oracle's live lines, each once, with their data
+            // — a recycled slot still carrying a stale key shows up here.
+            let mut walked: Vec<(u64, OracleLine)> = m
+                .iter_live()
+                .map(|(k, e)| {
+                    let line = OracleLine {
+                        data: e.data,
+                        poisoned: e.poisoned,
+                        busy: e.busy,
+                    };
+                    (k, line)
+                })
+                .collect();
+            walked.sort_by_key(|(k, _)| *k);
+            let expect: Vec<(u64, OracleLine)> = oracle
+                .iter()
+                .filter(|(_, (_, live))| *live)
+                .map(|(&k, (o, _))| (k, o.clone()))
+                .collect();
+            assert_eq!(walked, expect, "step {step}: iter_live vs oracle");
+            assert_eq!(m.resident(), expect.len(), "step {step}");
             assert_eq!(m.touched_lines(), oracle.len() as u64, "step {step}");
         }
         assert!(
