@@ -19,7 +19,7 @@ use c3_memsys::cache::CacheArray;
 use c3_protocol::mcm::Mcm;
 use c3_protocol::ops::Addr;
 use c3_protocol::states::ProtocolFamily;
-use c3_verif::model::{check, ModelConfig};
+use c3_verif::resilient::{check_resilient, ResilientConfig};
 use c3_workloads::WorkloadSpec;
 
 struct Harness {
@@ -76,10 +76,19 @@ fn microbenches(h: &mut Harness) {
 }
 
 fn verification(h: &mut Harness) {
+    // `c3 verify`'s first case: fault-free, 2 clusters, one private
+    // cache under each cluster copy.
+    let cfg = ResilientConfig {
+        ops_per_cluster: 2,
+        private_caches: 1,
+        max_faults: 0,
+        max_retries: 0,
+        ..ResilientConfig::default()
+    };
     h.bench("verification/model_check_default", 3, || {
-        let r = check(&ModelConfig::default());
-        assert!(r.violation.is_none());
-        r.states
+        let r = check_resilient(&cfg);
+        assert!(r.violation.is_none() && !r.truncated);
+        r.canonical_states
     });
 }
 

@@ -19,8 +19,8 @@
 //!
 //! Exit codes: `0` clean (or the injected bug was caught, under
 //! `--inject`/`--self-test`), `1` an invariant violation was found (or
-//! an injected bug was *missed*, or a witness diverged from the tables),
-//! `2` bad usage.
+//! an injected bug was *missed*, a witness diverged from the tables, or
+//! the run was truncated or overflowed a model bound), `2` bad usage.
 
 use c3::bridge::bridge_transition_table;
 use c3_cxl::dcoh::dcoh_transition_table;
@@ -46,8 +46,12 @@ pub(crate) const CMD: Subcommand = Subcommand {
         Flag::Text("--spill", "PATH", "spill the frontier to PATH"),
         Flag::Num("--min-reduction", "F", "fail below this symmetry reduction"),
         Flag::Switch("--deep", "also run the 3x2, two-ops-per-cluster headline"),
-        Flag::Text("--inject", "KIND", "lost-grant-livelock or poison-launder"),
-        Flag::Switch("--self-test", "check that both seeded bugs are caught"),
+        Flag::Text(
+            "--inject",
+            "KIND",
+            "lost-grant-livelock, poison-launder, early-snoop-answer or ignore-snoop-order",
+        ),
+        Flag::Switch("--self-test", "check that every seeded bug is caught"),
     ],
     run,
 };
@@ -78,30 +82,54 @@ fn expected_violation(inj: Injection) -> &'static str {
     match inj {
         Injection::LostGrantLivelock => "deadlock",
         Injection::PoisonLaunder => "poison",
+        Injection::EarlySnoopAnswer => "inclusion",
+        Injection::IgnoreSnoopOrder => "swmr",
     }
 }
 
 fn violation_class(v: &RViolation) -> &'static str {
     match v {
         RViolation::Swmr(_) => "swmr",
+        RViolation::Inclusion(_) => "inclusion",
         RViolation::Stale(_) => "stale",
         RViolation::Divergence(_) => "divergence",
         RViolation::Poison(_) => "poison",
         RViolation::Deadlock(_) => "deadlock",
+        RViolation::Bound(_) => "bound",
     }
 }
 
-/// Run one configuration; returns `true` if the run is acceptable (no
-/// unexpected violation, no conformance divergence, injected bugs
-/// caught).
-fn run_one(cfg: &ResilientConfig, min_reduction: Option<f64>) -> bool {
+/// `cfg` with `inj` seeded. Rule II only matters with private copies to
+/// reclaim, and a core needs a second operation to fill one, so
+/// `early-snoop-answer` gets one private cache per cluster and (unless
+/// `--ops` says otherwise) two operations.
+fn injected(cfg: &ResilientConfig, inj: Injection, ops: Option<u8>) -> ResilientConfig {
+    let mut cfg = ResilientConfig {
+        inject: Some(inj),
+        ..cfg.clone()
+    };
+    if inj == Injection::EarlySnoopAnswer {
+        cfg.private_caches = cfg.private_caches.max(1);
+        cfg.ops_per_cluster = ops.unwrap_or(2);
+    }
+    cfg
+}
+
+/// Run one configuration; returns `true` if the run is acceptable
+/// (exhaustive, no unexpected violation, no conformance divergence,
+/// injected bugs caught).
+pub(crate) fn run_one(cfg: &ResilientConfig, min_reduction: Option<f64>) -> bool {
     let label = format!(
-        "{}x{} ops={} faults={} retries={}{}{}",
+        "{}x{} ops={} faults={} retries={}{}{}{}",
         cfg.clusters,
         cfg.addrs,
         cfg.ops_per_cluster,
         cfg.max_faults,
         cfg.max_retries,
+        match cfg.private_caches {
+            0 => String::new(),
+            p => format!(" private={p}"),
+        },
         if cfg.symmetry { "" } else { " no-symmetry" },
         match cfg.inject {
             Some(i) => format!(" inject={}", i.name()),
@@ -128,9 +156,10 @@ fn run_one(cfg: &ResilientConfig, min_reduction: Option<f64>) -> bool {
     );
     if r.truncated {
         println!(
-            "  WARNING: truncated at max-states={} — not exhaustive",
+            "  FAIL: truncated at max-states={}, not exhaustive",
             cfg.max_states
         );
+        return false;
     }
 
     match (&r.violation, cfg.inject) {
@@ -226,14 +255,16 @@ fn run(args: &Args) -> Result<(), CliError> {
     }
     base.symmetry = !args.has("--no-symmetry");
     base.spill_path = args.text("--spill").map(std::path::PathBuf::from);
-    base.inject = match args.text("--inject") {
-        None => None,
-        Some(v) => Some(Injection::parse(v).ok_or_else(|| {
+    if let Some(v) = args.text("--inject") {
+        let inj = Injection::parse(v).ok_or_else(|| {
+            let names: Vec<_> = Injection::ALL.iter().map(|i| i.name()).collect();
             usage_error(format!(
-                "unknown injection {v:?} (expected lost-grant-livelock or poison-launder)"
+                "unknown injection {v:?} (expected one of {})",
+                names.join(", ")
             ))
-        })?),
-    };
+        })?;
+        base = injected(&base, inj, ops);
+    }
     let topology = |clusters, addrs| ResilientConfig {
         clusters,
         addrs,
@@ -242,19 +273,17 @@ fn run(args: &Args) -> Result<(), CliError> {
     let min_reduction: Option<f64> = args.num("--min-reduction")?;
 
     if args.has("--self-test") {
-        // Both seeded protocol bugs must be detected on a small config;
+        // Every seeded protocol bug must be detected on a small config;
         // CI runs this so a checker regression cannot hide behind
         // all-clean output.
         let mut ok = true;
         for inj in Injection::ALL {
-            let mut cfg = topology(2, 1);
-            cfg.inject = Some(inj);
-            ok &= run_one(&cfg, None);
+            ok &= run_one(&injected(&topology(2, 1), inj, ops), None);
         }
         println!(
             "modelcheck self-test: {}",
             if ok {
-                "both injections caught"
+                "all four injections caught"
             } else {
                 "FAILED"
             }

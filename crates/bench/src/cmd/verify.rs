@@ -4,15 +4,19 @@
 use c3::generator::{baseline_fsm, bridge_fsm};
 use c3_protocol::states::ProtocolFamily;
 use c3_verif::fsm_checks::check_fsm;
-use c3_verif::model::{check, ModelConfig};
+use c3_verif::resilient::{Injection, ResilientConfig};
 
 use crate::cli::{Args, CliError, Flag, Subcommand};
+use crate::cmd::modelcheck::run_one;
 
 pub(crate) const CMD: Subcommand = Subcommand {
     name: "verify",
     about: "Section VI-A: static FSM checks plus the Rule-I/II model-checking ablations",
     operands: "",
-    flags: &[Flag::Switch("--big", "also explore two cores per cluster")],
+    flags: &[Flag::Switch(
+        "--big",
+        "also explore two private caches per cluster",
+    )],
     run,
 };
 
@@ -48,61 +52,49 @@ fn run(args: &Args) -> Result<(), CliError> {
     }
 
     println!("\n== Explicit-state exploration (Murphi-style) ==");
-    let mut run = |label: &str, cfg: ModelConfig, expect_violation: bool| {
-        let result = check(&cfg);
-        let verdict = match (&result.violation, expect_violation) {
-            (None, false) => "OK (no violation)",
-            (Some(_), true) => "OK (violation found, as designed)",
-            (None, true) => {
-                ok = false;
-                "FAIL (expected a violation)"
-            }
-            (Some(_), false) => {
-                ok = false;
-                "FAIL (unexpected violation)"
-            }
-        };
-        println!("  {label:<46} {:>9} states  {verdict}", result.states);
-        if let Some(v) = result.violation {
-            println!("      -> {v}");
-        }
+    // Fault-free, one shared address, private caches under each cluster
+    // copy. The ablations must be caught, each as the invariant class
+    // `modelcheck` pins for its injection.
+    let model = |clusters, ops_per_cluster, private_caches| ResilientConfig {
+        clusters,
+        addrs: 1,
+        ops_per_cluster,
+        private_caches,
+        max_faults: 0,
+        max_retries: 0,
+        ..ResilientConfig::default()
     };
-
-    run("rules on, 2 ops/core", ModelConfig::default(), false);
-    run(
-        "rules on, 3 ops/core",
-        ModelConfig {
-            ops_per_core: 3,
-            ..ModelConfig::default()
-        },
-        false,
-    );
+    let mut cases = vec![
+        ("rules on, 2 ops/cluster", model(2, 2, 1)),
+        ("rules on, 3 ops/cluster", model(2, 3, 1)),
+        ("rules on, 3 clusters", model(3, 2, 1)),
+    ];
     if big {
-        run(
-            "rules on, 2 cores in cluster 0",
-            ModelConfig {
-                second_core: true,
-                ..ModelConfig::default()
-            },
-            false,
-        );
+        cases.push(("rules on, 2 private caches/cluster", model(3, 3, 2)));
     }
-    run(
-        "Rule II (nesting) disabled   -> Fig. 4 race",
-        ModelConfig {
-            rule2_nesting: false,
-            ..ModelConfig::default()
-        },
-        true,
-    );
-    run(
-        "BIConflict handshake disabled -> Fig. 2 race",
-        ModelConfig {
-            conflict_handshake: false,
-            ..ModelConfig::default()
-        },
-        true,
-    );
+    for (label, inj) in [
+        (
+            "Rule II removed -> Fig. 4 race",
+            Injection::EarlySnoopAnswer,
+        ),
+        (
+            "snoop order ignored -> Fig. 2 race",
+            Injection::IgnoreSnoopOrder,
+        ),
+    ] {
+        let inject = Some(inj);
+        cases.push((
+            label,
+            ResilientConfig {
+                inject,
+                ..model(2, 2, 1)
+            },
+        ));
+    }
+    for (label, cfg) in &cases {
+        println!("-- {label}");
+        ok &= run_one(cfg, None);
+    }
 
     if ok {
         println!("\nAll verification checks PASSED.");

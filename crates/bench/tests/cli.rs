@@ -78,4 +78,20 @@ fn missing_unknown_or_out_of_range_input_exits_2() {
 #[test]
 fn a_failed_check_exits_1() {
     assert_exit(&["protocheck", "--inject", "cycle"], 1, "defect");
+    // A retry budget past the model's host→device FIFO is a failed,
+    // non-exhaustive run, not a panic; so is a truncated run.
+    for args in [
+        &[
+            "modelcheck",
+            "--config",
+            "1x1",
+            "--faults",
+            "1",
+            "--retries",
+            "5",
+        ][..],
+        &["modelcheck", "--config", "2x1", "--max-states", "10"],
+    ] {
+        assert_exit(args, 1, "a configuration failed");
+    }
 }

@@ -3,12 +3,6 @@
 //! The reproduction of §VI-A "Formal Verification": explicit-state model
 //! checking in the style of the paper's Murphi methodology.
 //!
-//! * [`model`] — an exhaustive explorer of an abstract two-cluster C³
-//!   system (blocking DCOH, unordered S2M channel, conflict handshake),
-//!   checking SWMR, inclusion, staleness, divergence and deadlock
-//!   freedom. Rule II and the BIConflict handshake can be disabled
-//!   individually to demonstrate that the checker finds the Fig. 4 race
-//!   and the Fig. 2 ambiguity.
 //! * [`fsm_checks`] — static closure/completeness/forbidden-state checks
 //!   on the FSMs produced by `c3::generator`.
 //! * [`static_checks`] — table-driven static analysis of the concrete
@@ -16,23 +10,25 @@
 //!   reachability, forbidden states, Rule-II discipline and
 //!   cross-controller static deadlock detection (the `protocheck` CLI in
 //!   `c3-bench` drives it).
-//! * [`resilient`] — the scalable checker for the PR-2 resilience layer:
-//!   lossy/duplicating links as nondeterministic fault transitions,
-//!   retry/replay/poison steps explicit, explored with canonical-form
-//!   symmetry reduction ([`symmetry`]) over a hashed, spillable frontier
-//!   ([`frontier`]) so 3-host × 2-address configs are exhaustible in CI.
+//! * [`resilient`] — the model checker: an exhaustive explorer of an
+//!   abstract C³ system (clusters with optional private caches, a
+//!   blocking DCOH, an unordered and lossy device→host channel) checking
+//!   SWMR, inclusion, data value, poison stickiness and deadlock freedom,
+//!   with faults, retries and replays as explicit transitions. Seeded
+//!   injections remove Rule II or the snoop-ordering tag to show the
+//!   checker finds the Fig. 4 and Fig. 2 races. Canonical-form symmetry
+//!   reduction ([`symmetry`]) over a hashed, spillable frontier
+//!   ([`frontier`]) makes 3-host × 2-address configs exhaustible in CI.
 
 #![deny(missing_docs)]
 
 pub mod frontier;
 pub mod fsm_checks;
-pub mod model;
 pub mod resilient;
 pub mod static_checks;
 pub mod symmetry;
 
 pub use fsm_checks::{check_fsm, FsmDefect};
-pub use model::{check, CheckResult, ModelConfig, Violation};
 pub use resilient::{
     check_resilient, Counterexample, Injection, RViolation, ResilientConfig, ResilientResult,
 };

@@ -2,7 +2,7 @@
 //! [`TransitionTable`]s (`c3-protocol::table`).
 //!
 //! Where [`crate::fsm_checks`] inspects the *generated* compound FSMs and
-//! [`crate::model`] explores the abstract system dynamically, this module
+//! [`crate::resilient`] explores the abstract system dynamically, this module
 //! checks the tables the shipped controllers actually assert against —
 //! offline, without running a single simulation:
 //!
