@@ -95,3 +95,21 @@ fn a_failed_check_exits_1() {
         assert_exit(args, 1, "a configuration failed");
     }
 }
+
+#[test]
+fn min_reduction_applies_only_where_the_group_order_exceeds_it() {
+    // 2x1 has group order 2: no run could reach 4x, so the bar is n/a.
+    let out = c3(&["modelcheck", "--config", "2x1", "--min-reduction", "4"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    assert!(
+        stdout.contains("reduction bar n/a: group order 2 ≤ 4"),
+        "{stdout}"
+    );
+    // 3x1 has group order 6 and reaches 5.83x, so a 5.9x bar still bites.
+    assert_exit(
+        &["modelcheck", "--config", "3x1", "--min-reduction", "5.9"],
+        1,
+        "a configuration failed",
+    );
+}

@@ -54,7 +54,7 @@ use c3_sim::time::Time;
 use c3_sim::trace::Tracer;
 
 use crate::frontier::{fingerprint, SpillQueue, VisitedSet, NO_PARENT};
-use crate::symmetry::{Symmetric, SymmetryGroup};
+use crate::symmetry::{invert, Symmetric, SymmetryGroup};
 
 /// Maximum clusters the fixed-size state supports.
 pub const MAX_CLUSTERS: usize = 3;
@@ -1533,37 +1533,43 @@ fn relabel_dev_msg(m: &DevMsg, aperm: &[u8]) -> DevMsg {
     }
 }
 
+/// A cluster's block of the encoding: budget, outstanding fetch and
+/// the per-address fields in new address order (`inv_a[new] = old`).
+fn encode_cluster(c: &ClusterSt, aperm: &[u8], inv_a: &[usize], out: &mut Vec<u8>) {
+    out.push(c.budget);
+    encode_pend(&c.pend, aperm, out);
+    for &oa in inv_a {
+        out.extend_from_slice(&[
+            c.copy[oa].st as u8,
+            c.copy[oa].ver,
+            c.copy[oa].decl as u8,
+            c.copy[oa].taint as u8,
+            c.seen[oa],
+            c.inst_seq[oa],
+            c.fetch_ctr[oa],
+            c.snp_epoch[oa],
+        ]);
+    }
+}
+
 impl Symmetric for RState {
+    fn cluster_key(&self, c: usize, aperm: &[u8], out: &mut Vec<u8>) {
+        let mut inv_a = [0; MAX_ADDRS];
+        invert(aperm, &mut inv_a);
+        encode_cluster(&self.cl[c], aperm, &inv_a[..aperm.len()], out);
+    }
+
     fn encode_perm(&self, cperm: &[u8], aperm: &[u8], out: &mut Vec<u8>) {
         let clusters = cperm.len();
         let addrs = aperm.len();
         // Inverse permutations: write fields in *new* index order.
-        let mut inv_c = [0usize; MAX_CLUSTERS];
-        for (old, &new) in cperm.iter().enumerate() {
-            inv_c[new as usize] = old;
-        }
-        let mut inv_a = [0usize; MAX_ADDRS];
-        for (old, &new) in aperm.iter().enumerate() {
-            inv_a[new as usize] = old;
-        }
+        let (mut inv_c, mut inv_a) = ([0; MAX_CLUSTERS], [0; MAX_ADDRS]);
+        invert(cperm, &mut inv_c);
+        invert(aperm, &mut inv_a);
         out.push(self.ghost_bug);
         out.push(self.faults_left);
         for &oc in inv_c.iter().take(clusters) {
-            let c = &self.cl[oc];
-            out.push(c.budget);
-            encode_pend(&c.pend, aperm, out);
-            for &oa in inv_a.iter().take(addrs) {
-                out.extend_from_slice(&[
-                    c.copy[oa].st as u8,
-                    c.copy[oa].ver,
-                    c.copy[oa].decl as u8,
-                    c.copy[oa].taint as u8,
-                    c.seen[oa],
-                    c.inst_seq[oa],
-                    c.fetch_ctr[oa],
-                    c.snp_epoch[oa],
-                ]);
-            }
+            encode_cluster(&self.cl[oc], aperm, &inv_a[..addrs], out);
         }
         for &oa in inv_a.iter().take(addrs) {
             let d = &self.dir[oa];
@@ -1614,17 +1620,18 @@ impl Symmetric for RState {
                 encode_host_msg(slot.as_ref(), aperm, out);
             }
         }
-        let mut relabeled: Vec<DevMsg> = Vec::with_capacity(CHAN_CAP);
         for &oc in inv_c.iter().take(clusters) {
-            relabeled.clear();
+            let mut relabeled = [None; CHAN_CAP];
+            let mut n = 0;
             for m in self.s2m[oc].iter().flatten() {
-                relabeled.push(relabel_dev_msg(m, aperm));
+                relabeled[n] = Some(relabel_dev_msg(m, aperm));
+                n += 1;
             }
-            relabeled.sort_unstable();
-            for m in &relabeled {
+            relabeled[..n].sort_unstable();
+            for m in relabeled[..n].iter().flatten() {
                 encode_dev_msg(m, out);
             }
-            for _ in relabeled.len()..CHAN_CAP {
+            for _ in n..CHAN_CAP {
                 out.extend_from_slice(&[0; 8]);
             }
         }
@@ -1809,6 +1816,8 @@ pub fn check_resilient(cfg: &ResilientConfig) -> ResilientResult {
         witnesses: Some(BTreeSet::new()),
     };
     let mut canon = Vec::new();
+    // Frontier record `id ‖ canonical bytes`, refilled for every push.
+    let mut rec = Vec::new();
     let mut succs: Vec<RState> = Vec::new();
     let mut orbit_sum: u128 = 0;
     let mut edges: u64 = 0;
@@ -1824,16 +1833,15 @@ pub fn check_resilient(cfg: &ResilientConfig) -> ResilientResult {
     if let Some(v) = init.check(cfg) {
         violation = Some((v, init_id));
     } else {
-        let mut rec = Vec::with_capacity(4 + canon.len());
         rec.extend_from_slice(&init_id.to_le_bytes());
         rec.extend_from_slice(&canon);
         frontier.push(&rec);
     }
 
     'bfs: while violation.is_none() && !truncated {
-        let Some(rec) = frontier.pop() else { break };
-        let id = u32::from_le_bytes(rec[..4].try_into().unwrap());
-        let s = RState::decode(&rec[4..], cfg.clusters, cfg.addrs);
+        let Some(popped) = frontier.pop() else { break };
+        let id = u32::from_le_bytes(popped[..4].try_into().unwrap());
+        let s = RState::decode(&popped[4..], cfg.clusters, cfg.addrs);
         successors(&s, cfg, &mut succs, &mut ctx);
         if succs.is_empty() {
             if !s.done(cfg) {
@@ -1862,7 +1870,7 @@ pub fn check_resilient(cfg: &ResilientConfig) -> ResilientResult {
                 truncated = true;
                 break 'bfs;
             }
-            let mut rec = Vec::with_capacity(4 + canon.len());
+            rec.clear();
             rec.extend_from_slice(&tid.to_le_bytes());
             rec.extend_from_slice(&canon);
             frontier.push(&rec);
@@ -1870,10 +1878,7 @@ pub fn check_resilient(cfg: &ResilientConfig) -> ResilientResult {
     }
 
     let canonical_states = visited.len();
-    let violation = violation.map(|(v, vid)| {
-        let cex = build_counterexample(cfg, &visited, vid, &v);
-        (v, cex)
-    });
+    let violation = violation.map(|(v, vid)| build_counterexample(cfg, &visited, vid, v));
     let witnesses: Vec<_> = ctx.witnesses.take().unwrap().into_iter().collect();
     ResilientResult {
         canonical_states,
@@ -1889,35 +1894,52 @@ pub fn check_resilient(cfg: &ResilientConfig) -> ResilientResult {
     }
 }
 
-/// Replay the shortest path to `vid` through the [`Tracer`], producing
-/// both step labels and the tracer's text rendering.
+/// Replay the shortest path to `vid` on concrete states and render it
+/// through the [`Tracer`].
+///
+/// The visited set records, for each step, an ordinal into the
+/// successors of the *canonical* parent. The replay keeps a concrete
+/// state beside that representative and, at each step, moves to the
+/// first concrete successor with the recorded successor's canonical
+/// form; one exists by equivariance. Steps are labelled from the
+/// concrete successors, and the violation is re-derived from the final
+/// concrete state, so every cluster a step or the violation names is
+/// the one that acted.
 fn build_counterexample(
     cfg: &ResilientConfig,
     visited: &VisitedSet,
     vid: u32,
-    what: &RViolation,
-) -> Counterexample {
-    let ords = visited.path_to(vid);
+    what: RViolation,
+) -> (RViolation, Counterexample) {
     let mut group = group_for(cfg);
     let mut state = RState::initial(cfg);
+    let mut canon = Vec::new();
+    group.canonical(&state, &mut canon);
+    let mut rep = RState::decode(&canon, cfg.clusters, cfg.addrs);
     let mut ctx = SuccCtx {
         labels: Some(Vec::new()),
         witnesses: None,
     };
-    let mut succs = Vec::new();
-    let mut canon = Vec::new();
+    let (mut succs, mut want) = (Vec::new(), Vec::new());
     let mut steps: Vec<(usize, String)> = Vec::new();
-    for &o in &ords {
+    for o in visited.path_to(vid) {
+        successors(&rep, cfg, &mut succs, &mut SuccCtx::default());
+        group.canonical(&succs[o as usize], &mut want);
+        rep = RState::decode(&want, cfg.clusters, cfg.addrs);
         successors(&state, cfg, &mut succs, &mut ctx);
-        let labels = ctx.labels.as_ref().expect("labels enabled");
-        let (comp, label) = labels
-            .get(o as usize)
-            .cloned()
-            .unwrap_or((comp_fabric(cfg), format!("<ordinal {o} out of range>")));
-        steps.push((comp, label));
-        group.canonical(&succs[o as usize], &mut canon);
-        state = RState::decode(&canon, cfg.clusters, cfg.addrs);
+        let i = succs
+            .iter()
+            .position(|t| {
+                group.canonical(t, &mut canon);
+                canon == want
+            })
+            .expect("equivariance: a concrete successor in the recorded orbit");
+        let labels = ctx.labels.as_mut().expect("labels enabled");
+        steps.push(std::mem::take(&mut labels[i]));
+        state = succs.swap_remove(i);
     }
+    // A deadlocked state passes `check`: keep the explorer's verdict.
+    let what = state.check(cfg).unwrap_or(what);
     let mut tracer = Tracer::enabled(steps.len() + 2);
     let mut names: Vec<String> = (0..cfg.clusters).map(|c| format!("cluster{c}")).collect();
     names.push("dcoh".into());
@@ -1936,10 +1958,8 @@ fn build_counterexample(
         "violation",
         format!("INVARIANT VIOLATED: {what}"),
     );
-    Counterexample {
-        steps,
-        trace: tracer.text_dump(&names),
-    }
+    let trace = tracer.text_dump(&names);
+    (what, Counterexample { steps, trace })
 }
 
 #[cfg(test)]
@@ -1989,6 +2009,120 @@ mod tests {
                 s = succs[pick.min(succs.len() - 1)].clone();
             }
             assert_eq!(saw_private, cfg.private_caches > 0);
+        }
+    }
+
+    /// Every state reachable under `cfg`, one per symmetry orbit.
+    fn reachable(cfg: &ResilientConfig) -> Vec<RState> {
+        let mut group = group_for(cfg);
+        let mut canon = Vec::new();
+        let mut states = vec![RState::initial(cfg)];
+        group.canonical(&states[0], &mut canon);
+        let mut seen = BTreeSet::from([canon.clone()]);
+        let mut succs = Vec::new();
+        let mut i = 0;
+        while i < states.len() {
+            successors(&states[i], cfg, &mut succs, &mut SuccCtx::default());
+            for t in &succs {
+                group.canonical(t, &mut canon);
+                if seen.insert(canon.clone()) {
+                    states.push(RState::decode(&canon, cfg.clusters, cfg.addrs));
+                }
+            }
+            i += 1;
+        }
+        states
+    }
+
+    #[test]
+    fn key_sorted_canonical_matches_all_images_reference() {
+        let private = ResilientConfig {
+            ops_per_cluster: 2,
+            private_caches: 2,
+            max_faults: 0,
+            max_retries: 0,
+            ..tiny(3, 1)
+        };
+        for cfg in [tiny(3, 2), private] {
+            let mut groups = [
+                SymmetryGroup::new(cfg.clusters, cfg.addrs),
+                SymmetryGroup::identity(cfg.clusters, cfg.addrs),
+            ];
+            let (mut succs, mut canon, mut checked) = (Vec::new(), Vec::new(), 0);
+            for s in reachable(&cfg) {
+                successors(&s, &cfg, &mut succs, &mut SuccCtx::default());
+                for t in &succs {
+                    for g in &mut groups {
+                        let orbit = g.canonical(t, &mut canon);
+                        assert_eq!((canon.clone(), orbit), g.canonical_reference(t));
+                    }
+                    checked += 1;
+                }
+            }
+            assert!(checked > 1000, "only {checked} successors checked");
+        }
+    }
+
+    #[test]
+    fn counterexamples_replay_on_concrete_clusters() {
+        let rules = |ops| ResilientConfig {
+            ops_per_cluster: ops,
+            private_caches: 1,
+            max_faults: 0,
+            max_retries: 0,
+            ..tiny(2, 1)
+        };
+        for inj in Injection::ALL {
+            for clusters in [2, 3] {
+                let cfg = match inj {
+                    Injection::LostGrantLivelock | Injection::PoisonLaunder => tiny(clusters, 1),
+                    _ => ResilientConfig {
+                        clusters,
+                        ..rules(2)
+                    },
+                };
+                let cfg = ResilientConfig {
+                    inject: Some(inj),
+                    ..cfg
+                };
+                let (v, cex) = check_resilient(&cfg).violation.expect("caught");
+                // Each step is enabled in the concrete state before it.
+                let mut state = RState::initial(&cfg);
+                let mut ctx = SuccCtx {
+                    labels: Some(Vec::new()),
+                    witnesses: None,
+                };
+                let mut succs = Vec::new();
+                for step in &cex.steps {
+                    successors(&state, &cfg, &mut succs, &mut ctx);
+                    let labels = ctx.labels.as_ref().unwrap();
+                    let i = labels.iter().position(|l| l == step).unwrap_or_else(|| {
+                        panic!("{}: step {step:?} not enabled in {labels:?}", inj.name())
+                    });
+                    if step.0 < cfg.clusters {
+                        assert!(step.1.starts_with(&format!("cl{}", step.0)), "{step:?}");
+                    }
+                    state = succs.swap_remove(i);
+                }
+                match state.check(&cfg) {
+                    Some(found) => assert_eq!(found, v, "{}", inj.name()),
+                    None => {
+                        successors(&state, &cfg, &mut succs, &mut ctx);
+                        assert!(succs.is_empty() && !state.done(&cfg), "{}", inj.name());
+                    }
+                }
+            }
+        }
+        // The Fig. 2 race of `c3 verify`: both clusters miss, and the
+        // trace names each of them once.
+        let cfg = ResilientConfig {
+            inject: Some(Injection::IgnoreSnoopOrder),
+            ..rules(2)
+        };
+        let trace = check_resilient(&cfg).violation.expect("caught").1.trace;
+        for cl in ["cl0", "cl1"] {
+            let miss = format!("{cl}: load miss a0, RdS seq1");
+            assert_eq!(trace.matches(&miss).count(), 1, "{miss}\n{trace}");
         }
     }
 

@@ -16,13 +16,35 @@
 //! never a specific one. A violation in any orbit member implies a
 //! violation in the representative.
 //!
-//! Canonicalization is brute-force minimization: with ≤ 3 clusters and
-//! ≤ 2 addresses the combined group has at most `3! × 2! = 12` elements,
-//! so we encode the state under every permutation and keep the
-//! lexicographically smallest byte string. The number of *distinct*
-//! images is the orbit size, which lets the checker report the exact
-//! unreduced state count (Σ orbit sizes over canonical states) and hence
-//! an exact reduction factor — no second unreduced run needed.
+//! The canonical form is the lexicographically smallest encoding over
+//! the group (at most `3! × 2! = 12` elements). It is found without
+//! encoding every image:
+//!
+//! * **Key-sorted candidates.** An encoding starts with a
+//!   permutation-independent header followed by one fixed-length block
+//!   per cluster, in new-index order ([`Symmetric::cluster_key`]). For
+//!   each address permutation the cluster blocks are computed once, and
+//!   only the cluster permutations that lay them out in non-decreasing
+//!   order are candidates. Any other permutation has a strictly larger
+//!   prefix, so it can be neither the minimum nor equal to it. This
+//!   needs the group to hold every cluster permutation; the identity
+//!   group encodes its one element.
+//! * **Blocks before bytes.** A candidate's blocks are compared with the
+//!   best image's before it is encoded: larger blocks lose without an
+//!   encoding, smaller ones win without a full comparison, and only a
+//!   tie is encoded and compared in full. On the 3×2 headline run a
+//!   call encodes 1.14 images on average, against 12 for all images.
+//! * **Orbit–stabilizer.** The images equal to the minimum form a coset
+//!   of the stabilizer, so counting them while scanning gives
+//!   `orbit = |G| / count` with no sort or dedup. The orbit sizes let
+//!   the checker report the exact unreduced state count (Σ orbit sizes
+//!   over canonical states) and hence an exact reduction factor — no
+//!   second unreduced run needed.
+//!
+//! After warm-up a call allocates nothing: the candidate image, the
+//! best image and the cluster keys live in buffers the group reuses.
+
+use std::cmp::Ordering;
 
 /// A state that can encode itself under a cluster/address relabelling.
 pub trait Symmetric {
@@ -31,6 +53,15 @@ pub trait Symmetric {
     /// must be injective (two different states never encode equal) and
     /// the identity permutation must yield the natural serialization.
     fn encode_perm(&self, cperm: &[u8], aperm: &[u8], out: &mut Vec<u8>);
+
+    /// Append the block cluster `c` contributes to
+    /// [`encode_perm`](Symmetric::encode_perm) under `aperm`. Where this
+    /// writes anything, `encode_perm` must begin with a header that no
+    /// permutation changes, followed by these blocks for the old
+    /// clusters in new-index order, all of one length. The default
+    /// writes nothing: every cluster then ties, and canonicalization
+    /// encodes every permutation.
+    fn cluster_key(&self, _c: usize, _aperm: &[u8], _out: &mut Vec<u8>) {}
 }
 
 /// All permutations of `0..n` in lexicographic order.
@@ -55,45 +86,64 @@ fn permutations(n: usize) -> Vec<Vec<u8>> {
     out
 }
 
+/// Write `inv[new] = old` for a permutation `perm[old] = new`.
+pub(crate) fn invert(perm: &[u8], inv: &mut [usize]) {
+    for (old, &new) in perm.iter().enumerate() {
+        inv[new as usize] = old;
+    }
+}
+
 /// The combined cluster × address permutation group.
 pub struct SymmetryGroup {
-    /// `(cluster permutation, address permutation)` pairs; the identity
-    /// pair is always first.
-    perms: Vec<(Vec<u8>, Vec<u8>)>,
-    scratch: Vec<Vec<u8>>,
+    /// Cluster permutations paired with their inverses; identity first.
+    cperms: Vec<(Vec<u8>, Vec<usize>)>,
+    /// Address permutations; identity first.
+    aperms: Vec<Vec<u8>>,
+    /// `cperms` holds every cluster permutation, so candidates may be
+    /// pruned by cluster-key order.
+    prune: bool,
+    /// Cluster keys under every address permutation, back to back:
+    /// cluster `c`'s under `aperms[a]` is block `a * clusters + c`.
+    keys: Vec<u8>,
+    /// The candidate image being encoded, and the least one so far.
+    cur: Vec<u8>,
+    best: Vec<u8>,
 }
 
 impl SymmetryGroup {
+    fn from_perms(cperms: Vec<Vec<u8>>, aperms: Vec<Vec<u8>>, prune: bool) -> Self {
+        SymmetryGroup {
+            cperms: cperms
+                .into_iter()
+                .map(|p| {
+                    let mut inv = vec![0; p.len()];
+                    invert(&p, &mut inv);
+                    (p, inv)
+                })
+                .collect(),
+            aperms,
+            prune,
+            keys: Vec::new(),
+            cur: Vec::new(),
+            best: Vec::new(),
+        }
+    }
+
     /// The full group for `clusters × addrs`.
     pub fn new(clusters: usize, addrs: usize) -> Self {
-        let cps = permutations(clusters);
-        let aps = permutations(addrs);
-        let mut perms = Vec::with_capacity(cps.len() * aps.len());
-        for c in &cps {
-            for a in &aps {
-                perms.push((c.clone(), a.clone()));
-            }
-        }
-        let scratch = vec![Vec::new(); perms.len()];
-        SymmetryGroup { perms, scratch }
+        Self::from_perms(permutations(clusters), permutations(addrs), true)
     }
 
     /// The trivial group (identity only) — used to switch reduction off
     /// while keeping the same exploration code path.
     pub fn identity(clusters: usize, addrs: usize) -> Self {
-        let perms = vec![(
-            (0..clusters as u8).collect::<Vec<u8>>(),
-            (0..addrs as u8).collect::<Vec<u8>>(),
-        )];
-        SymmetryGroup {
-            perms,
-            scratch: vec![Vec::new()],
-        }
+        let id = |n: usize| vec![(0..n as u8).collect()];
+        Self::from_perms(id(clusters), id(addrs), false)
     }
 
     /// Group order.
     pub fn order(&self) -> usize {
-        self.perms.len()
+        self.cperms.len() * self.aperms.len()
     }
 
     /// Canonicalize: returns the lexicographically minimal encoding over
@@ -101,18 +151,86 @@ impl SymmetryGroup {
     /// images). The canonical bytes are appended to `out` (cleared
     /// first).
     pub fn canonical<S: Symmetric>(&mut self, s: &S, out: &mut Vec<u8>) -> usize {
-        for (i, (cp, ap)) in self.perms.iter().enumerate() {
-            self.scratch[i].clear();
-            s.encode_perm(cp, ap, &mut self.scratch[i]);
+        let SymmetryGroup {
+            cperms,
+            aperms,
+            prune,
+            keys,
+            cur,
+            best,
+        } = self;
+        let n = cperms[0].0.len();
+        keys.clear();
+        for ap in aperms.iter() {
+            for c in 0..n {
+                s.cluster_key(c, ap, keys);
+            }
         }
-        let min = self.scratch.iter().min().expect("non-empty group");
+        // Cluster `c`'s key under address permutation `a`.
+        let len = keys.len() / (n * aperms.len());
+        let key = |a: usize, c: usize| {
+            let at = (a * n + c) * len;
+            &keys[at..at + len]
+        };
+        // The best image's `(address permutation, inverse cluster
+        // permutation)`, and the images equal to it: a coset of the
+        // stabilizer.
+        let mut best_at: Option<(usize, &[usize])> = None;
+        let mut hits = 0;
+        for (a, ap) in aperms.iter().enumerate() {
+            for (cp, inv) in cperms.iter() {
+                if *prune && inv.windows(2).any(|w| key(a, w[0]) > key(a, w[1])) {
+                    continue;
+                }
+                // The cluster blocks decide against the best image unless
+                // they tie with its own.
+                let by_blocks = match best_at {
+                    None => Ordering::Less,
+                    Some((ba, binv)) => {
+                        let blocks = inv.iter().map(|&c| key(a, c));
+                        blocks.cmp(binv.iter().map(|&c| key(ba, c)))
+                    }
+                };
+                if by_blocks == Ordering::Greater {
+                    continue;
+                }
+                cur.clear();
+                s.encode_perm(cp, ap, cur);
+                if by_blocks == Ordering::Equal {
+                    match cur.as_slice().cmp(best) {
+                        Ordering::Less => {}
+                        Ordering::Equal => {
+                            hits += 1;
+                            continue;
+                        }
+                        Ordering::Greater => continue,
+                    }
+                }
+                std::mem::swap(cur, best);
+                best_at = Some((a, inv));
+                hits = 1;
+            }
+        }
         out.clear();
-        out.extend_from_slice(min);
-        // Orbit size = number of distinct images.
-        let mut sorted: Vec<&Vec<u8>> = self.scratch.iter().collect();
-        sorted.sort();
-        sorted.dedup();
-        sorted.len()
+        out.extend_from_slice(best);
+        self.order() / hits
+    }
+
+    /// The canonicalization the key-sorted search must reproduce: every
+    /// image encoded, the least kept, the distinct ones counted.
+    #[cfg(test)]
+    pub(crate) fn canonical_reference<S: Symmetric>(&self, s: &S) -> (Vec<u8>, usize) {
+        let mut images: Vec<Vec<u8>> = Vec::new();
+        for (cp, _) in &self.cperms {
+            for ap in &self.aperms {
+                let mut img = Vec::new();
+                s.encode_perm(cp, ap, &mut img);
+                images.push(img);
+            }
+        }
+        images.sort();
+        images.dedup();
+        (images[0].clone(), images.len())
     }
 }
 
@@ -138,26 +256,37 @@ mod tests {
     impl Symmetric for Toy {
         fn encode_perm(&self, cperm: &[u8], aperm: &[u8], out: &mut Vec<u8>) {
             // Write cluster fields in *new* index order.
-            let mut inv_c = vec![0usize; cperm.len()];
-            for (old, &new) in cperm.iter().enumerate() {
-                inv_c[new as usize] = old;
-            }
-            let mut inv_a = vec![0usize; aperm.len()];
-            for (old, &new) in aperm.iter().enumerate() {
-                inv_a[new as usize] = old;
-            }
+            let mut inv_c = vec![0; cperm.len()];
+            invert(cperm, &mut inv_c);
             for &old in &inv_c {
-                out.push(self.flags[old]);
+                self.cluster_key(old, aperm, out);
             }
+            let mut inv_a = vec![0; aperm.len()];
+            invert(aperm, &mut inv_a);
             for &old in &inv_a {
                 out.push(self.vals[old]);
             }
         }
+
+        fn cluster_key(&self, c: usize, _aperm: &[u8], out: &mut Vec<u8>) {
+            out.push(self.flags[c]);
+        }
+    }
+
+    /// `canonical` on both groups, checked against the reference.
+    fn canon(s: &Toy) -> (Vec<u8>, usize) {
+        let mut out = Vec::new();
+        for mut g in [SymmetryGroup::new(3, 2), SymmetryGroup::identity(3, 2)] {
+            let orbit = g.canonical(s, &mut out);
+            assert_eq!((out.clone(), orbit), g.canonical_reference(s));
+        }
+        let mut g = SymmetryGroup::new(3, 2);
+        let orbit = g.canonical(s, &mut out);
+        (out, orbit)
     }
 
     #[test]
     fn permuted_states_share_canonical_form() {
-        let mut g = SymmetryGroup::new(3, 2);
         let a = Toy {
             flags: vec![1, 0, 2],
             vals: vec![9, 4],
@@ -166,9 +295,8 @@ mod tests {
             flags: vec![2, 1, 0],
             vals: vec![4, 9],
         };
-        let (mut ca, mut cb) = (Vec::new(), Vec::new());
-        let orbit_a = g.canonical(&a, &mut ca);
-        let orbit_b = g.canonical(&b, &mut cb);
+        let (ca, orbit_a) = canon(&a);
+        let (cb, orbit_b) = canon(&b);
         assert_eq!(ca, cb, "orbit members must share a canonical form");
         assert_eq!(orbit_a, orbit_b);
         // All flags distinct, both values distinct: full orbit.
@@ -177,26 +305,27 @@ mod tests {
 
     #[test]
     fn orbit_size_reflects_stabilizer() {
-        let mut g = SymmetryGroup::new(3, 2);
         // Two identical clusters → stabilizer of size 2; identical
-        // addresses → address swaps also stabilize.
+        // addresses → address swaps also stabilize. The tied keys leave
+        // two cluster permutations per address permutation to encode.
         let s = Toy {
             flags: vec![5, 5, 1],
             vals: vec![7, 7],
         };
-        let mut c = Vec::new();
-        assert_eq!(g.canonical(&s, &mut c), 3);
+        assert_eq!(canon(&s), (vec![1, 5, 5, 7, 7], 3));
         // Fully symmetric state: orbit of one.
         let u = Toy {
             flags: vec![5, 5, 5],
             vals: vec![7, 7],
         };
-        assert_eq!(g.canonical(&u, &mut c), 1);
+        assert_eq!(canon(&u).1, 1);
     }
 
     #[test]
     fn identity_group_is_transparent() {
         let mut g = SymmetryGroup::identity(3, 2);
+        // Keys out of order: the identity group must still encode its
+        // one permutation rather than prune it.
         let a = Toy {
             flags: vec![1, 0, 2],
             vals: vec![9, 4],
